@@ -1,7 +1,7 @@
 /**
  * @file
  * Traffic-lab benchmark: deterministic trace generation, the cache-
- * policy sweep, and dispatcher-pool replay throughput.
+ * policy sweep, and worker-pool replay throughput.
  *
  * Three sections (docs/TRAFFIC_LAB.md):
  *
@@ -17,11 +17,11 @@
  *     deterministic, so the floor is enforced in every mode, not
  *     just --smoke.
  *
- *  3. Dispatcher-pool replay — the same trace served end-to-end
- *     through serve::AsyncEngine with a pool of 1 vs N dispatchers.
+ *  3. Worker-pool replay — the same trace served end-to-end
+ *     through serve::AsyncEngine with AsyncConfig::workers 1 vs N.
  *     Predictions must be bit-identical across pool sizes (always
  *     enforced); under --smoke on >= 2 cores the pool must reach at
- *     least 1.0x the single-dispatcher throughput (best pair of
+ *     least 1.0x the single-worker throughput (best pair of
  *     interleaved passes, so a scheduler burst cannot fail the
  *     floor by itself). On a 1-core runner the throughput floor is
  *     skipped — pool workers would just time-slice.
@@ -54,8 +54,8 @@ using namespace difftune;
 
 /**
  * Pool throughput floor (--smoke, >= 2 cores): a pool of N
- * dispatchers must not serve the replay slower than a single
- * dispatcher. Modest by design — the pool's job is to scale
+ * workers must not serve the replay slower than a single worker.
+ * Modest by design — the pool's job is to scale
  * concurrent miss traffic without taxing anything else.
  */
 constexpr double poolThroughputFloor = 1.0;
@@ -81,7 +81,7 @@ main(int argc, char **argv)
     bool floors_ok = true;
     const int rc = bench::runBench(
         "bench_lab: trace generation, cache-policy sweep, and "
-        "dispatcher-pool replay",
+        "worker-pool replay",
         "serving-traffic extension (train once, serve many; Renda "
         "et al. 2021)",
         [&] {
@@ -165,7 +165,7 @@ main(int argc, char **argv)
                 }
             }
 
-            // ---- 3. Dispatcher-pool replay. A small cache keeps
+            // ---- 3. Worker-pool replay. A small cache keeps
             // miss traffic flowing (pool parallelism only matters on
             // the forward path; front-cache hits resolve inline in
             // the submitting thread either way).
@@ -189,11 +189,11 @@ main(int argc, char **argv)
 
             const std::vector<std::string> texts =
                 trace.requestTexts();
-            const auto replay = [&](int dispatchers,
+            const auto replay = [&](int workers,
                                     std::vector<uint64_t> *bits,
                                     double &seconds) {
                 serve::AsyncConfig acfg;
-                acfg.dispatchers = dispatchers;
+                acfg.workers = workers;
                 acfg.cachePolicy = lab::policyFactory("slru");
                 acfg.cacheCapacity = 32;
                 serve::AsyncEngine engine(artifact, acfg);
@@ -249,12 +249,12 @@ main(int argc, char **argv)
 
             TextTable pt({"Replay", "Throughput", "Notes"});
             pt.addRow(
-                {"single dispatcher",
+                {"1 worker",
                  fmtDouble(double(texts.size()) / best_single, 0) +
                      " req/s",
                  "slru policy, capacity 32"});
             pt.addRow(
-                {"pool of " + std::to_string(pool),
+                {std::to_string(pool) + " workers",
                  fmtDouble(double(texts.size()) / best_pool, 0) +
                      " req/s",
                  "striped intake + idle-steal"});
@@ -273,8 +273,8 @@ main(int argc, char **argv)
 
             if (!bits_match) {
                 std::fprintf(stderr,
-                             "FAIL: pool of %d diverged from the "
-                             "single-dispatcher bits\n",
+                             "FAIL: %d workers diverged from the "
+                             "single-worker bits\n",
                              pool);
                 floors_ok = false;
             }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-layer benchmark: checkpoint cold-load latency plus the
- * throughput of the batched PredictionEngine against the naive
+ * throughput of the batched serve::AsyncEngine against the naive
  * one-fresh-graph-per-block path, on a skewed request stream (a small
  * working set dominates, as in real serving traffic; see
  * serve/workload.hh for the shared experiment definition).
@@ -29,9 +29,11 @@
  * >= 1.5x (skipped, not failed, on 1-core runners). The telemetry
  * layer (src/obs/) adds two more checks: the instrumented warm path
  * must stay within 5% of an engine built with the obs kill switch
- * off, and the /statsz dump printed at the end must reconcile
- * exactly (requests == text_hits + text_misses == hits + misses),
- * parsed back out of the dump text itself.
+ * off, and the /statsz dump printed at the end — after every
+ * engine, the multi-client and daemon ones included, has served, so
+ * their stage breakdowns are in it — must reconcile exactly
+ * (requests == text_hits + text_misses == hits + misses) on the
+ * first f64 engine, parsed back out of the dump text itself.
  */
 
 #include <algorithm>
@@ -93,19 +95,19 @@ constexpr double obsOverheadGate = 1.05;
 int
 main(int argc, char **argv)
 {
-    // --dispatchers N sizes the AsyncEngine dispatcher pool for the
-    // pooled multi-client row (default 2). Stripped here because
+    // --workers N sizes the AsyncEngine pool for the pooled
+    // multi-client row (default 2). Stripped here because
     // parseBenchArgs is strict and rejects flags it does not know.
-    int dispatchers = 2;
+    int pool_workers = 2;
     {
         int kept = 1;
         for (int i = 1; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--dispatchers") == 0 &&
+            if (std::strcmp(argv[i], "--workers") == 0 &&
                 i + 1 < argc) {
-                dispatchers = std::atoi(argv[++i]);
-                if (dispatchers < 1) {
+                pool_workers = std::atoi(argv[++i]);
+                if (pool_workers < 1) {
                     std::fprintf(stderr,
-                                 "--dispatchers needs a positive "
+                                 "--workers needs a positive "
                                  "pool size\n");
                     return 2;
                 }
@@ -156,7 +158,7 @@ main(int argc, char **argv)
             const auto load_begin = std::chrono::steady_clock::now();
             const io::ModelSnapshot artifact =
                 io::loadModelSnapshot(path);
-            serve::PredictionEngine engine(artifact);
+            serve::AsyncEngine engine(artifact);
             const auto load_end = std::chrono::steady_clock::now();
 
             TextTable io_table({"Checkpoint", "Value"});
@@ -192,9 +194,9 @@ main(int argc, char **argv)
             const auto timing =
                 serve::engineVsNaive(engine, workload, naive);
 
-            serve::ServeConfig f32cfg;
+            serve::AsyncConfig f32cfg;
             f32cfg.precision = nn::Precision::kF32;
-            serve::PredictionEngine engine32(artifact, f32cfg);
+            serve::AsyncEngine engine32(artifact, f32cfg);
             const auto timing32 = serve::engineVsNaive(
                 engine32, workload, naive, 250, f32RelErrGate);
 
@@ -308,7 +310,7 @@ main(int argc, char **argv)
                     lanes += surrogate::encodeBlock(block).size();
             });
 
-            serve::PredictionEngine fe_engine(artifact);
+            serve::AsyncEngine fe_engine(artifact);
             std::vector<double> fe_cold_preds;
             fe_cold_preds.reserve(fe_n);
             obs::LatencyHistogram fe_cold_hist;
@@ -405,8 +407,7 @@ main(int argc, char **argv)
             // noisy shared runner, where any single pair is not.
             // Skipped entirely when DIFFTUNE_OBS_OFF already
             // disabled telemetry.
-            const std::string obs_prefix =
-                engine.async().metricPrefix();
+            const std::string obs_prefix = engine.metricPrefix();
             if (!obs_prefix.empty()) {
                 const auto respell = [](const std::string &text,
                                         const std::string &gap) {
@@ -444,9 +445,9 @@ main(int argc, char **argv)
                         pass_texts.back().push_back(
                             respell(text, gap));
                 }
-                serve::PredictionEngine on_engine(artifact);
+                serve::AsyncEngine on_engine(artifact);
                 obs::setEnabled(false);
-                serve::PredictionEngine off_engine(artifact);
+                serve::AsyncEngine off_engine(artifact);
                 obs::setEnabled(true);
                 for (const std::string &text : fe_texts) {
                     on_engine.predict(text); // cold fill
@@ -534,46 +535,6 @@ main(int argc, char **argv)
                                  (obsOverheadGate - 1.0) * 100.0);
                     floors_ok = false;
                 }
-
-                // ---- /statsz: dump the global registry and check
-                // the mirrored-counter invariant on the first f64
-                // engine's section — parsed back out of the dump
-                // text itself, so the exporter round-trip is what is
-                // audited (always enforced; it is deterministic).
-                const std::string dump = obs::renderStatsz();
-                std::cout << "/statsz (global registry)\n" << dump
-                          << "\n";
-                bool dump_ok = true;
-                const auto counter = [&](const char *field) {
-                    const auto v = obs::statszCounter(
-                        dump, obs_prefix + "." + field);
-                    if (!v) {
-                        std::fprintf(stderr,
-                                     "FAIL: /statsz dump lacks "
-                                     "counter %s.%s\n",
-                                     obs_prefix.c_str(), field);
-                        dump_ok = false;
-                        return uint64_t(0);
-                    }
-                    return *v;
-                };
-                const unsigned long long req = counter("requests");
-                const unsigned long long th = counter("text_hits");
-                const unsigned long long tm = counter("text_misses");
-                const unsigned long long ch = counter("hits");
-                const unsigned long long cm = counter("misses");
-                if (dump_ok &&
-                    (req != th + tm || req != ch + cm)) {
-                    std::fprintf(
-                        stderr,
-                        "FAIL: /statsz counters do not reconcile: "
-                        "requests=%llu text=%llu+%llu "
-                        "cache=%llu+%llu\n",
-                        req, th, tm, ch, cm);
-                    dump_ok = false;
-                }
-                if (!dump_ok)
-                    floors_ok = false;
             }
 
             // ---- Serving API v2: shared snapshot memory and the
@@ -584,7 +545,7 @@ main(int argc, char **argv)
             // copies pre-v2 — and the per-opcode columns — per
             // *engine* pre-v2 — are each resident exactly once.
             const nn::WeightSnapshot &snapshot =
-                engine.async().snapshot();
+                engine.snapshot();
             // Pre-v2, each f64 shard held its own f64 projections
             // and each f32 shard its own f32 panels + f32
             // projections; the per-opcode columns were per engine.
@@ -659,24 +620,71 @@ main(int argc, char **argv)
                 }
             }
 
+            // ---- /statsz: dump the global registry and check
+            // the mirrored-counter invariant on the first f64
+            // engine's section — parsed back out of the dump
+            // text itself, so the exporter round-trip is what is
+            // audited (always enforced; it is deterministic). Runs
+            // last, so the multi-client, pool and daemon engines'
+            // stage histograms are in the dump too.
+            const auto audit_statsz = [&] {
+                if (obs_prefix.empty())
+                    return; // DIFFTUNE_OBS_OFF: nothing registered
+                const std::string dump = obs::renderStatsz();
+                std::cout << "/statsz (global registry)\n" << dump
+                          << "\n";
+                bool dump_ok = true;
+                const auto counter = [&](const char *field) {
+                    const auto v = obs::statszCounter(
+                        dump, obs_prefix + "." + field);
+                    if (!v) {
+                        std::fprintf(stderr,
+                                     "FAIL: /statsz dump lacks "
+                                     "counter %s.%s\n",
+                                     obs_prefix.c_str(), field);
+                        dump_ok = false;
+                        return uint64_t(0);
+                    }
+                    return *v;
+                };
+                const unsigned long long req = counter("requests");
+                const unsigned long long th = counter("text_hits");
+                const unsigned long long tm = counter("text_misses");
+                const unsigned long long ch = counter("hits");
+                const unsigned long long cm = counter("misses");
+                if (dump_ok &&
+                    (req != th + tm || req != ch + cm)) {
+                    std::fprintf(
+                        stderr,
+                        "FAIL: /statsz counters do not reconcile: "
+                        "requests=%llu text=%llu+%llu "
+                        "cache=%llu+%llu\n",
+                        req, th, tm, ch, cm);
+                    dump_ok = false;
+                }
+                if (!dump_ok)
+                    floors_ok = false;
+            };
+
             const unsigned cores =
                 std::thread::hardware_concurrency();
             const int threads = int(std::min(4u, cores));
             if (cores < 2) {
-                std::cout << "multi-threaded client and dispatcher-"
+                std::cout << "multi-threaded client and worker-"
                              "pool modes: skipped (1-core runner; "
                              "floor needs >= 2 cores)\n";
+                audit_statsz();
                 return;
             }
             const auto clients = serve::compareAsyncClients(
                 artifact, workload, threads, &naive);
             TextTable table3({"Submission", "Throughput", "Notes"});
             table3.addRow(
-                {"single caller (sync, 1 thread)",
+                {"single caller (predict, 1 thread)",
                  fmtDouble(double(requests) / clients.singleSeconds,
                            0) +
                      " blk/s",
-                 "v1 usage style"});
+                 std::to_string(engine.workers()) + " workers"});
             table3.addRow(
                 {"async clients (" + std::to_string(threads) +
                      " threads)",
@@ -710,34 +718,34 @@ main(int argc, char **argv)
                 floors_ok = false;
             }
 
-            // ---- Dispatcher pool: the same multi-client traffic
-            // through a pool of N dispatchers (--dispatchers,
-            // default 2) versus the single-dispatcher engine of the
-            // row above. Reported, not floored — bench_lab owns the
-            // pool-vs-single >= 1.0x floor on its deterministic
-            // trace — but compareAsyncClients still bit-checks every
-            // pooled response against the naive pass, so a pool that
-            // costs a single bit fails the run.
+            // ---- Worker pool: the same multi-client traffic on an
+            // engine of N workers (--workers, default 2) versus the
+            // default-sized engine of the row above. Reported, not
+            // floored — bench_lab owns the pool-vs-single >= 1.0x
+            // floor on its deterministic trace — but
+            // compareAsyncClients still bit-checks every pooled
+            // response against the naive pass, so a pool that costs
+            // a single bit fails the run.
             serve::AsyncConfig pool_cfg;
-            pool_cfg.dispatchers = dispatchers;
+            pool_cfg.workers = pool_workers;
             const auto pooled = serve::compareAsyncClients(
                 artifact, workload, threads, &naive, pool_cfg);
-            TextTable table4(
-                {"Dispatcher pool", "Throughput", "Notes"});
+            TextTable table4({"Worker pool", "Throughput", "Notes"});
             table4.addRow(
-                {"pool of 1 (row above)",
+                {std::to_string(engine.workers()) +
+                     " workers (row above)",
                  fmtDouble(double(requests) / clients.asyncSeconds,
                            0) +
                      " blk/s",
                  std::to_string(threads) + " client threads"});
             table4.addRow(
-                {"pool of " + std::to_string(dispatchers),
+                {std::to_string(pool_workers) + " workers",
                  fmtDouble(double(requests) / pooled.asyncSeconds,
                            0) +
                      " blk/s",
                  "striped intake + idle-steal, bit-exact vs naive"});
             table4.addRow(
-                {"pool / single",
+                {"pool / row above",
                  fmtDouble(clients.asyncSeconds /
                                pooled.asyncSeconds,
                            2) +
@@ -751,6 +759,7 @@ main(int argc, char **argv)
                      fmtDouble(pooled.latency.p99 * 1e6, 0) + " us",
                  "submit-to-get"});
             std::cout << table4.render();
+            audit_statsz();
         });
     return rc != 0 ? rc : (floors_ok ? 0 : 1);
 }

@@ -9,7 +9,7 @@
  *       Deterministically generate a trace and save its compact
  *       serialized form (same knobs -> byte-identical file).
  *   difftune_lab replay <trace>
- *       (--ckpt PATH [--policy lru|slru|tinylfu] [--dispatchers N]
+ *       (--ckpt PATH [--policy lru|slru|tinylfu] [--workers N]
  *        [--capacity N] [--check]
  *        | --daemon PORT [--host H] [--model NAME])
  *       Replay the trace's request stream (respellings and all)
@@ -147,12 +147,12 @@ cmdReplay(int argc, char **argv)
 {
     fatal_if(argc < 3,
              "usage: replay <trace> (--ckpt PATH [--policy P] "
-             "[--dispatchers N] [--capacity N] [--check] | "
+             "[--workers N] [--capacity N] [--check] | "
              "--daemon PORT [--host H] [--model NAME])");
     const lab::TraceWorkload trace = lab::TraceWorkload::load(argv[2]);
     std::string ckpt, host = "127.0.0.1", model = "default";
     std::string policy = "lru";
-    int port = -1, dispatchers = 1;
+    int port = -1, workers = 0;
     size_t capacity = 8192;
     bool check = false;
     for (int i = 3; i < argc; ++i) {
@@ -167,8 +167,8 @@ cmdReplay(int argc, char **argv)
             ckpt = value;
         else if (arg == "--policy")
             policy = value;
-        else if (arg == "--dispatchers")
-            dispatchers = std::stoi(value);
+        else if (arg == "--workers")
+            workers = std::stoi(value);
         else if (arg == "--capacity")
             capacity = std::stoull(value);
         else if (arg == "--daemon")
@@ -196,7 +196,7 @@ cmdReplay(int argc, char **argv)
     std::unique_ptr<serve::AsyncEngine> engine;
     if (port < 0) {
         serve::AsyncConfig cfg;
-        cfg.dispatchers = dispatchers;
+        cfg.workers = workers;
         cfg.cachePolicy = lab::policyFactory(policy);
         cfg.cacheCapacity = capacity;
         engine = serve::AsyncEngine::loadFromFile(ckpt, cfg);
@@ -222,8 +222,8 @@ cmdReplay(int argc, char **argv)
               << double(replies.size()) / seconds << " req/s)";
     if (engine) {
         const serve::ServeStats &stats = engine->stats();
-        std::cout << " — policy " << policy << ", pool "
-                  << dispatchers << ", hits " << stats.hits.load()
+        std::cout << " — policy " << policy << ", workers "
+                  << engine->workers() << ", hits " << stats.hits.load()
                   << ", misses " << stats.misses.load();
     }
     std::cout << "\n";

@@ -216,16 +216,16 @@ cmdInfo(int argc, char **argv)
         // Serving footprint: what one engine (any worker count)
         // keeps resident through the shared WeightSnapshot.
         try {
-            serve::PredictionEngine probe(
+            serve::AsyncEngine probe(
                 io::makeModelSnapshot(std::move(ckpt)));
             probe.predict("NOP\n"); // materialize the projections
-            const auto &snapshot = probe.async().snapshot();
+            const auto &snapshot = probe.snapshot();
             std::cout << "  serving: " << snapshot.f64Bytes()
                       << " weight bytes in place, "
-                      << probe.async().sharedWeightBytes()
+                      << probe.sharedWeightBytes()
                       << " derived bytes shared across "
                       << probe.workers() << " workers\n";
-            const auto &interner = probe.async().interner();
+            const auto &interner = probe.interner();
             std::cout << "  front end: matvec kernel "
                       << nn::matvecPathName() << "; intern tables "
                       << interner.numInsts() << " insts / "
@@ -247,10 +247,10 @@ int
 cmdPredict(int argc, char **argv)
 {
     fatal_if(argc < 4, "usage: predict <ckpt> <block.s|->...");
-    auto engine = serve::PredictionEngine::fromFile(argv[2]);
+    const auto engine = serve::AsyncEngine::loadFromFile(argv[2]);
     std::cout.precision(17);
     for (int i = 3; i < argc; ++i)
-        std::cout << engine.predict(readFileOrStdin(argv[i])) << "\n";
+        std::cout << engine->predict(readFileOrStdin(argv[i])) << "\n";
     return 0;
 }
 
@@ -308,12 +308,12 @@ cmdBench(int argc, char **argv)
         args.size() > 3 ? std::stoul(args[3]) : 4000;
     const size_t unique = args.size() > 4 ? std::stoul(args[4]) : 400;
 
-    serve::ServeConfig cfg;
+    serve::AsyncConfig cfg;
     if (f32)
         cfg.precision = nn::Precision::kF32;
     const auto load_begin = std::chrono::steady_clock::now();
     const io::ModelSnapshot artifact = io::loadModelSnapshot(path);
-    serve::PredictionEngine engine(artifact, cfg);
+    serve::AsyncEngine engine(artifact, cfg);
     const auto load_end = std::chrono::steady_clock::now();
     const double load_ms =
         1e3 * serve::secondsBetween(load_begin, load_end);
@@ -354,16 +354,16 @@ cmdBench(int argc, char **argv)
               << stats.batches.load() << " batches\n"
               << "front end: matvec kernel " << nn::matvecPathName()
               << "; intern tables "
-              << engine.async().interner().numInsts() << " insts / "
-              << engine.async().interner().numBlocks() << " blocks, "
-              << engine.async().interner().bytes() << " bytes\n"
+              << engine.interner().numInsts() << " insts / "
+              << engine.interner().numBlocks() << " blocks, "
+              << engine.interner().bytes() << " bytes\n"
               << "shared snapshot: "
-              << engine.async().sharedWeightBytes()
+              << engine.sharedWeightBytes()
               << " derived bytes resident once (pre-v2 layout: "
-              << (engine.async().snapshot().f32Bytes() +
-                  engine.async().snapshot().projBytes()) *
+              << (engine.snapshot().f32Bytes() +
+                  engine.snapshot().projBytes()) *
                      size_t(engine.workers()) +
-                     engine.async().snapshot().inputColumnBytes()
+                     engine.snapshot().inputColumnBytes()
               << ")\n";
     if (f32)
         std::cout << "max rel err vs double: "

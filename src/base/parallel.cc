@@ -130,6 +130,13 @@ class WorkerPool
 
 } // namespace
 
+size_t
+shardChunk(size_t n, size_t shards)
+{
+    shards = std::max<size_t>(1, std::min(shards, n));
+    return (n + shards - 1) / shards;
+}
+
 int
 parallelShards(size_t n, int max_workers,
                const std::function<void(size_t, size_t, int)> &body)
@@ -147,7 +154,7 @@ parallelShards(size_t n, int max_workers,
 
     WorkerPool &pool = WorkerPool::instance();
     workers = std::min(workers, pool.size());
-    const size_t chunk = (n + workers - 1) / workers;
+    const size_t chunk = shardChunk(n, size_t(workers));
     const int shards = int((n + chunk - 1) / chunk);
     std::function<void(int)> job = [&body, chunk, n](int shard) {
         const size_t begin = size_t(shard) * chunk;

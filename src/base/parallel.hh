@@ -2,10 +2,14 @@
  * @file
  * Deterministic fork-join parallel-for over index ranges.
  *
- * Work is partitioned into contiguous shards, one per worker, so that
- * the assignment of items to threads is a pure function of (n, number
- * of workers); combined with per-shard RNG forks this keeps parallel
- * runs bit-reproducible.
+ * Work is partitioned into contiguous shards, one per worker. The
+ * shard count is min(requested workers, pool size, n), and the pool
+ * size defaults to the host's core count (workerThreads()), so the
+ * partition — and any reduction that sums per-shard partials in shard
+ * order — depends on the host unless the caller fixes both the
+ * request and DIFFTUNE_THREADS. Per-item work that never crosses a
+ * shard boundary (per-shard RNG forks, independent lanes) is
+ * unaffected.
  */
 
 #ifndef DIFFTUNE_BASE_PARALLEL_HH
@@ -30,6 +34,15 @@ namespace difftune
 int parallelShards(
     size_t n, int max_workers,
     const std::function<void(size_t, size_t, int)> &body);
+
+/**
+ * Items per shard when [0, n) is split into at most @p shards
+ * contiguous shards, as parallelShards splits once it has settled
+ * the shard count: shard s covers [s * chunk, min(n, (s + 1) *
+ * chunk)), and fewer than @p shards are used when n is small.
+ * 0 when n is 0.
+ */
+size_t shardChunk(size_t n, size_t shards);
 
 /** parallelShards with per-item granularity body(i). */
 void parallelFor(size_t n, int max_workers,

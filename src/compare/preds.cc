@@ -10,8 +10,8 @@
 #include "isa/instruction.hh"
 #include "isa/parse.hh"
 #include "nn/matvec_dispatch.hh"
+#include "serve/async_engine.hh"
 #include "serve/daemon.hh"
-#include "serve/engine.hh"
 
 namespace difftune::compare
 {
@@ -226,20 +226,20 @@ snapshotCheckpoint(const std::string &checkpoint_path,
                    const std::vector<std::string> &texts,
                    SnapshotOptions options)
 {
-    serve::ServeConfig config;
+    serve::AsyncConfig config;
     config.workers = options.workers;
     config.precision = options.precision;
-    serve::PredictionEngine engine =
-        serve::PredictionEngine::fromFile(checkpoint_path, config);
+    const std::unique_ptr<serve::AsyncEngine> engine =
+        serve::AsyncEngine::loadFromFile(checkpoint_path, config);
 
     PredsArtifact artifact;
     artifact.engine.source = checkpoint_path;
-    artifact.engine.precision = nn::precisionName(engine.precision());
+    artifact.engine.precision = nn::precisionName(engine->precision());
     artifact.engine.kernel = nn::matvecPathName();
-    artifact.engine.workers = engine.workers();
+    artifact.engine.workers = engine->workers();
     artifact.corpusDigest = corpusDigest(texts);
 
-    std::vector<double> values = engine.predictAll(texts);
+    std::vector<double> values = engine->predictAll(texts);
     artifact.blocks.reserve(texts.size());
     for (size_t i = 0; i < texts.size(); ++i)
     {

@@ -62,7 +62,7 @@ struct EngineInfo
     std::string source;    ///< checkpoint path / "daemon host:port"
     std::string precision; ///< "f64" or "f32"
     std::string kernel;    ///< nn::matvecPathName() or "daemon"
-    int32_t workers = 0;   ///< shard count (0: remote/unknown)
+    int32_t workers = 0;   ///< pool size (0: remote/unknown)
 };
 
 /** One block's snapshot: canonical identity + prediction bits. */
@@ -129,7 +129,7 @@ inline constexpr const char *defaultCorpusSpec = "gen:48:0xbe7c";
 /** Engine knobs for a local snapshot run. */
 struct SnapshotOptions
 {
-    int workers = 0; ///< shard count (<= 0: library default)
+    int workers = 0; ///< pool size (<= 0: library default)
     nn::Precision precision = nn::Precision::kF64;
 };
 

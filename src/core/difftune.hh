@@ -89,7 +89,7 @@ struct DiffTuneConfig
     /**
      * Checkpointing: with a path set, run() saves the trained
      * surrogate + sampling distribution + learned table (a complete
-     * serving artifact, see serve/engine.hh); `every` > 0 also saves
+     * serving artifact, see serve/async_engine.hh); `every` > 0 also saves
      * after every Nth validation snapshot during table training.
      */
     io::CheckpointHook checkpoint;

@@ -6,13 +6,12 @@
  * A Checkpoint is a mutable grab-bag fresh off the wire; a
  * ModelSnapshot is what serving engines actually want: the model
  * frozen behind shared_ptr<const>, its weights wrapped in one
- * nn::WeightSnapshot (see nn/snapshot.hh) that every executor shard
+ * nn::WeightSnapshot (see nn/snapshot.hh) that every executor
  * — across any number of engines — borrows instead of copying, plus
  * the table/distribution sections the DiffTune surrogate needs.
  * Load a file once with loadModelSnapshot and construct as many
- * serve::AsyncEngine / serve::PredictionEngine instances from it as
- * you like; they share one copy of the weights and every derived
- * panel.
+ * serve::AsyncEngine instances from it as you like; they share one
+ * copy of the weights and every derived panel.
  *
  * Validation here covers what any consumer needs (a model must be
  * present and match the process vocabulary); surrogate-specific

@@ -2,18 +2,19 @@
  * @file
  * AsyncEngine implementation.
  *
- * Locking order (always take in this order, never hold both unless
- * noted): queueMutex_ guards only the request queue and the
- * stop/flush flags; batchMutex_ guards the shard executors and is
- * held across a whole serveBatch; the cache stripes are leaf locks
- * taken under either or neither. The dispatcher serves with no
- * queue lock held, so clients keep submitting while a batch runs.
+ * Locking: queueMutex_ guards only the worker queues and the
+ * stop/flush flags; the cache stripes are leaf locks taken with no
+ * other lock held. Each worker's executor is touched by its own
+ * thread only, so batches need no lock at all: a worker serves with
+ * no queue lock held, and clients keep submitting while it runs.
  */
 
 #include "serve/async_engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -103,19 +104,33 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
     }
     snapshot_ = artifact_.weights;
 
-    // One executor + instruction-hidden memo per shard, all
+    registerMetrics();
+
+    // One executor + instruction-hidden memo per worker, all
     // borrowing the one snapshot: the kF32 conversion and every
     // input projection happen once per engine (or once per
-    // *artifact*, when engines share), no longer once per shard.
-    // The dispatcher thread starts lazily on the first submit.
-    shards_.reserve(size_t(workers_));
-    for (int shard = 0; shard < workers_; ++shard) {
-        shards_.emplace_back();
-        shards_.back().batched = std::make_unique<nn::BatchedForward>(
-            snapshot_, precision_);
+    // *artifact*, when engines share), not once per executor.
+    // Every worker is built before any thread starts, so pool_ is
+    // immutable from here on and workers index siblings' queues
+    // without further coordination.
+    pool_.reserve(size_t(workers_));
+    for (int w = 0; w < workers_; ++w) {
+        pool_.push_back(std::make_unique<Worker>());
+        pool_.back()->batched =
+            std::make_unique<nn::BatchedForward>(snapshot_, precision_);
     }
-
-    registerMetrics();
+    try {
+        for (size_t w = 0; w < pool_.size(); ++w)
+            pool_[w]->thread =
+                std::thread(&AsyncEngine::dispatchLoop, this, w);
+    } catch (...) {
+        // No destructor runs for a throwing constructor: join the
+        // threads that did start and drop the counter mirrors here.
+        shutdown();
+        if (registry_)
+            registry_->unlinkCounters(metricPrefix_ + ".");
+        throw;
+    }
 }
 
 void
@@ -239,265 +254,46 @@ AsyncEngine::shutdown()
 
 // --------------------------------------------------------------- intake
 
-std::optional<double>
-AsyncEngine::frontProbe(const std::string &text)
-{
-    ++stats_.requests;
-    if (std::optional<double> hit = textCache_.get(text)) {
-        ++stats_.textHits;
-        ++stats_.hits;
-        return hit;
-    }
-    ++stats_.textMisses;
-    return std::nullopt;
-}
-
-std::future<double>
-AsyncEngine::submit(std::string block_text)
+std::vector<std::future<double>>
+AsyncEngine::enqueue(const std::vector<std::string> &texts, bool group,
+                     bool sampled, bool caller_timed)
 {
     // Intake closes atomically at shutdown — even for requests the
-    // front cache could still answer, so "closed" is unambiguous.
+    // caches could still answer, so "closed" is unambiguous.
     // Rejection is a catchable EngineStoppedError, never fatal():
     // the daemon must survive clients racing a drain.
     if (stopped_.load(std::memory_order_acquire))
         throw EngineStoppedError();
-    std::promise<double> promise;
-    std::future<double> future = promise.get_future();
-    if (std::optional<double> hit = frontProbe(block_text)) {
-        promise.set_value(*hit);
-        return future;
-    }
-    // Striped assignment: requests round-robin over the per-worker
-    // intake queues. The stripe draw sits outside the lock — it
-    // only has to distribute, not order.
-    const uint64_t stripe =
-        intakeStripe_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard lock(queueMutex_);
-        if (stopping_) {
-            // Keep the counters reconciled (hits + misses ==
-            // requests) before rejecting.
-            ++stats_.misses;
-            throw EngineStoppedError();
-        }
-        ensureDispatchersLocked();
-        pool_[size_t(stripe % pool_.size())]->queue.push_back(
-            Pending{std::move(block_text), std::move(promise),
-                    stage_.on() ? obs::nowNs() : 0});
-        ++totalQueued_;
-        if (stage_.on())
-            stage_.queueDepth->set(int64_t(totalQueued_));
-    }
-    // One worker suffices for one request — unless it lands while
-    // the only awake worker is mid-coalesce on another queue, which
-    // a pool avoids by waking everyone (cheap at pool sizes).
-    if (pool_.size() == 1)
-        queueCv_.notify_one();
-    else
-        queueCv_.notify_all();
-    return future;
-}
-
-std::vector<std::future<double>>
-AsyncEngine::submitAll(std::vector<std::string> block_texts)
-{
-    if (stopped_.load(std::memory_order_acquire))
-        throw EngineStoppedError();
-    std::vector<std::future<double>> futures;
-    futures.reserve(block_texts.size());
-    std::vector<Pending> fresh;
-    // One timestamp for the whole group: the members enqueue
-    // together, and one clock read keeps the intake loop cheap.
-    const uint64_t enqueued = stage_.on() ? obs::nowNs() : 0;
-    for (std::string &text : block_texts) {
-        std::promise<double> promise;
-        futures.push_back(promise.get_future());
-        if (std::optional<double> hit = frontProbe(text)) {
-            promise.set_value(*hit);
-            continue;
-        }
-        fresh.push_back(
-            Pending{std::move(text), std::move(promise), enqueued});
-    }
-    if (!fresh.empty()) {
-        const uint64_t stripe = intakeStripe_.fetch_add(
-            fresh.size(), std::memory_order_relaxed);
-        {
-            std::lock_guard lock(queueMutex_);
-            if (stopping_) {
-                stats_.misses += fresh.size();
-                throw EngineStoppedError();
-            }
-            ensureDispatchersLocked();
-            // Group members stripe round-robin like singles, so a
-            // large group spreads over the pool and its micro-
-            // batches overlap (bit-stability is indifferent to the
-            // split; ordering within a future group is irrelevant
-            // because every member carries its own future).
-            for (size_t i = 0; i < fresh.size(); ++i)
-                pool_[size_t((stripe + i) % pool_.size())]
-                    ->queue.push_back(std::move(fresh[i]));
-            totalQueued_ += fresh.size();
-            if (stage_.on())
-                stage_.queueDepth->set(int64_t(totalQueued_));
-            // The whole group is already here: let the dispatchers
-            // skip the coalescing wait.
-            ++flushes_;
-        }
-        queueCv_.notify_all();
-    }
-    return futures;
-}
-
-// ----------------------------------------------------------- sync calls
-
-bool
-AsyncEngine::sampleTick()
-{
-    return stage_.on() &&
-           stageSampleTick_.fetch_add(1, std::memory_order_relaxed) %
-                   kStageSamplePeriod ==
-               0;
-}
-
-double
-AsyncEngine::predict(const std::string &block_text)
-{
-    const bool sampled = sampleTick();
-    obs::StageTimer span(sampled ? stage_.request : nullptr);
-    if (std::optional<double> hit = frontProbe(block_text))
-        return *hit;
-    const std::vector<const std::string *> one{&block_text};
-    std::vector<Outcome> outcomes = serveBatch(one, sampled);
-    if (outcomes[0].error)
-        std::rethrow_exception(outcomes[0].error);
-    return outcomes[0].value;
-}
-
-std::vector<double>
-AsyncEngine::predictAll(const std::vector<std::string> &block_texts)
-{
-    // Every request in the group completes when this call returns,
-    // so the call span is each one's end-to-end latency: one pair of
-    // clock reads, recorded once per request.
-    const uint64_t begin = stage_.on() ? obs::nowNs() : 0;
-    std::vector<double> results(block_texts.size(), 0.0);
-    std::vector<uint32_t> unresolved;
-    std::vector<const std::string *> todo;
-    for (size_t i = 0; i < block_texts.size(); ++i) {
-        if (std::optional<double> hit = frontProbe(block_texts[i]))
-            results[i] = *hit;
-        else {
-            unresolved.push_back(uint32_t(i));
-            todo.push_back(&block_texts[i]);
-        }
-    }
-    if (!todo.empty()) {
-        std::vector<Outcome> outcomes = serveBatch(todo, sampleTick());
-        for (size_t j = 0; j < outcomes.size(); ++j) {
-            if (outcomes[j].error)
-                std::rethrow_exception(outcomes[j].error);
-            results[unresolved[j]] = outcomes[j].value;
-        }
-    }
-    if (stage_.on() && !block_texts.empty()) {
-        const uint64_t elapsed = obs::elapsedNs(begin, obs::nowNs());
-        for (size_t i = 0; i < block_texts.size(); ++i)
-            stage_.request->record(elapsed);
-    }
-    return results;
-}
-
-double
-AsyncEngine::predictBlock(const isa::BasicBlock &block)
-{
-    obs::StageTimer span(sampleTick() ? stage_.request : nullptr);
-    ++stats_.requests;
-    ++stats_.textMisses; // this entry point bypasses the text cache
-    fatal_if(block.empty(), "cannot predict an empty block");
-    bool known = false;
-    const isa::BlockId id = interner_.internBlock(block, known);
-    if (known)
-        ++stats_.internHits;
-    if (id != isa::invalidBlockId) {
-        if (std::optional<double> hit = cache_.get(id)) {
-            ++stats_.hits;
-            return *hit;
-        }
-    }
-    std::lock_guard lock(batchMutex_);
-    // Re-probe under the batch lock: a racing batch may have just
-    // published this block.
-    if (id != isa::invalidBlockId) {
-        if (std::optional<double> hit = cache_.get(id)) {
-            ++stats_.hits;
-            return *hit;
-        }
-    }
-    ++stats_.misses;
-    ++stats_.forwards;
-    ++stats_.batches;
-    // A batch of one on shard 0's executor: the cache must hold
-    // predictions from one execution mode only, whichever precision
-    // is being served.
-    std::vector<Miss> one(1);
-    one[0].id = id;
-    one[0].block = block;
-    forwardMissBatch(shards_[0], one, 0, 1);
-    const double prediction = one[0].prediction;
-    if (id != isa::invalidBlockId)
-        cache_.put(id, prediction);
-    return prediction;
-}
-
-// ----------------------------------------------------------- batch core
-
-std::vector<AsyncEngine::Outcome>
-AsyncEngine::serveBatch(const std::vector<const std::string *> &texts,
-                        bool sample_laps)
-{
-    std::lock_guard lock(batchMutex_);
-    return serveBatchOn(shards_, texts, sample_laps);
-}
-
-std::vector<AsyncEngine::Outcome>
-AsyncEngine::serveBatchOn(
-    std::vector<Shard> &shards,
-    const std::vector<const std::string *> &texts, bool sample_laps)
-{
-    ++stats_.batches;
     // Chained laps: each stage boundary is one clock read shared
     // with the next stage (N stages cost N+1 reads, not 2N), and
     // only sampled calls (see kStageSamplePeriod) record laps.
-    obs::StageClock clk(sample_laps);
-    std::vector<Outcome> outcomes(texts.size());
-    std::vector<Miss> misses;
-    std::vector<uint32_t> parsed; ///< slots to publish to textCache_
-    /** In-batch raw-text dedup: first slot to parse each text. */
-    std::unordered_map<std::string_view, uint32_t> raw_first;
-    /** (duplicate slot, first slot) pairs resolved after publish. */
-    std::vector<std::pair<uint32_t, uint32_t>> raw_dups;
-    /** In-batch canonical dedup, by interned id. */
-    std::unordered_map<isa::BlockId, size_t> miss_index;
+    obs::StageClock clk(sampled);
+    std::vector<std::future<double>> futures;
+    futures.reserve(texts.size());
+    std::vector<Pending> misses;
+    /** In-call raw-text dedup: the queued miss of each text. */
+    std::unordered_map<std::string_view, size_t> raw_index;
+    /** In-call canonical dedup, by interned id. */
+    std::unordered_map<isa::BlockId, size_t> id_index;
 
-    for (size_t i = 0; i < texts.size(); ++i) {
-        const std::string &text = *texts[i];
-        // Every request here already missed the front cache at
-        // submit time; re-probe in case a racing batch published it
-        // since.
+    for (const std::string &text : texts) {
+        std::promise<double> promise;
+        futures.push_back(promise.get_future());
+        ++stats_.requests;
         if (std::optional<double> hit = textCache_.get(text)) {
+            ++stats_.textHits;
             ++stats_.hits;
-            outcomes[i].value = *hit;
+            promise.set_value(*hit);
             continue;
         }
-        auto [first, fresh] =
-            raw_first.try_emplace(text, uint32_t(i));
-        if (!fresh) {
-            // An exact repeat within this batch: skip the parse but
-            // count it as a miss — it was not in any cache when
-            // served (ServeStats::hits means answered from an LRU).
+        ++stats_.textMisses;
+        // An exact repeat of a text queued by this call: wait on
+        // the same forward. It counts as a miss — it was in no
+        // cache when served (ServeStats::hits means answered from
+        // an LRU).
+        if (auto it = raw_index.find(text); it != raw_index.end()) {
             ++stats_.misses;
-            raw_dups.emplace_back(uint32_t(i), first->second);
+            misses[it->second].promises.push_back(std::move(promise));
             continue;
         }
         clk.restart();
@@ -507,9 +303,9 @@ AsyncEngine::serveBatchOn(
             fatal_if(block.empty(), "cannot predict an empty block");
         } catch (...) {
             // Per-request failure: this request's future carries the
-            // error; the rest of the batch is served normally.
-            outcomes[i].error = std::current_exception();
+            // error; the rest of the call is served normally.
             ++stats_.misses;
+            promise.set_exception(std::current_exception());
             continue;
         }
         clk.lap(stage_.parse);
@@ -522,76 +318,186 @@ AsyncEngine::serveBatchOn(
         if (known)
             ++stats_.internHits;
         clk.lap(stage_.intern);
-        parsed.push_back(uint32_t(i));
         if (id != isa::invalidBlockId) {
             std::optional<double> hit = cache_.get(id);
             clk.lap(stage_.predCache);
             if (hit) {
                 ++stats_.hits;
-                outcomes[i].value = *hit;
+                promise.set_value(*hit);
+                textCache_.put(text, *hit);
                 continue;
             }
-            ++stats_.misses;
-            auto it = miss_index.find(id);
-            if (it == miss_index.end()) {
-                it = miss_index.emplace(id, misses.size()).first;
-                misses.push_back(
-                    Miss{id, std::move(block), 0.0, {}});
-            }
-            misses[it->second].outputs.push_back(uint32_t(i));
-        } else {
-            // Interner full: serve this block uncachably (correct,
-            // just not memoized) rather than evicting interned
-            // state other keys depend on.
-            ++stats_.misses;
-            misses.push_back(Miss{id, std::move(block), 0.0, {}});
-            misses.back().outputs.push_back(uint32_t(i));
         }
+        ++stats_.misses;
+        // Canonical dedup: another spelling of a block this call
+        // already queued shares its forward. An uninterned block
+        // (interner full) is served uncachably on its own.
+        size_t slot = misses.size();
+        if (id != isa::invalidBlockId)
+            slot = id_index.try_emplace(id, misses.size()).first->second;
+        if (slot == misses.size())
+            misses.push_back(
+                Pending{id, std::move(block), {}, {}, 0, caller_timed});
+        misses[slot].promises.push_back(std::move(promise));
+        misses[slot].texts.push_back(text);
+        raw_index.emplace(text, slot); // views into texts: stable
     }
-
-    stats_.forwards += misses.size();
-
-    // One batched executor per shard: the shard's misses run as one
-    // lane batch (shared weight reads, lockstep steps, instruction
-    // dedup). The shard partition is a pure function of (count,
-    // workers), and each lane's arithmetic is independent, so
-    // results do not depend on the worker count or the batch
-    // composition.
+    if (misses.empty())
+        return futures;
+    // A group's misses split into contiguous ranges, range r to
+    // worker r — the same blocks reach the same executor (and its
+    // instruction memo) for a given group at any load. A single
+    // takes the next round-robin stripe; the draw sits outside the
+    // lock, since it only has to distribute, not order.
+    const size_t first =
+        group ? 0
+              : size_t(intakeStripe_.fetch_add(
+                    1, std::memory_order_relaxed));
+    const size_t chunk = shardChunk(misses.size(), pool_.size());
+    // One timestamp for the whole call, and none for a call the
+    // caches answered: the warm path stays free of clock reads.
+    const uint64_t enqueued = stage_.on() ? obs::nowNs() : 0;
     {
-        obs::StageTimer forward_span(
-            misses.empty() ? nullptr : stage_.forward);
-        parallelShards(misses.size(), int(shards.size()),
-                       [&](size_t lo, size_t hi, int shard) {
-                           forwardMissBatch(shards[size_t(shard)],
-                                            misses, lo, hi);
-                       });
+        std::lock_guard lock(queueMutex_);
+        // Rejected misses were already counted (hits + misses ==
+        // requests still holds).
+        if (stopping_)
+            throw EngineStoppedError();
+        for (size_t i = 0; i < misses.size(); ++i) {
+            misses[i].enqueuedNs = enqueued;
+            pool_[(first + i / chunk) % pool_.size()]->queue.push_back(
+                std::move(misses[i]));
+        }
+        totalQueued_ += misses.size();
+        if (stage_.on())
+            stage_.queueDepth->set(int64_t(totalQueued_));
+        // A group is all here already: let the workers skip the
+        // coalescing wait.
+        if (group)
+            ++flushes_;
     }
-
-    // Publish in deterministic (batch) order.
-    for (Miss &miss : misses) {
-        for (uint32_t slot : miss.outputs)
-            outcomes[slot].value = miss.prediction;
-        if (miss.id != isa::invalidBlockId)
-            cache_.put(miss.id, miss.prediction);
-    }
-    for (auto [dup, first] : raw_dups) {
-        if (outcomes[first].error)
-            outcomes[dup].error = outcomes[first].error;
-        else
-            outcomes[dup].value = outcomes[first].value;
-    }
-    for (uint32_t i : parsed)
-        textCache_.put(*texts[i], outcomes[i].value);
-    return outcomes;
+    // One worker suffices for one single — unless it lands while the
+    // only awake worker is mid-coalesce on another queue, which a
+    // pool avoids by waking everyone (cheap at pool sizes).
+    if (!group && pool_.size() == 1)
+        queueCv_.notify_one();
+    else
+        queueCv_.notify_all();
+    return futures;
 }
 
-void
-AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
-                              size_t lo, size_t hi)
+bool
+AsyncEngine::sampleTick()
 {
-    nn::BatchedForward &bf = *sh.batched;
+    return stage_.on() &&
+           stageSampleTick_.fetch_add(1, std::memory_order_relaxed) %
+                   kStageSamplePeriod ==
+               0;
+}
+
+std::future<double>
+AsyncEngine::submit(std::string block_text)
+{
+    std::vector<std::string> one;
+    one.push_back(std::move(block_text));
+    return std::move(enqueue(one, false, sampleTick(), false)[0]);
+}
+
+std::vector<std::future<double>>
+AsyncEngine::submitAll(std::vector<std::string> block_texts)
+{
+    return enqueue(block_texts, true, sampleTick(), false);
+}
+
+double
+AsyncEngine::predict(const std::string &block_text)
+{
+    const bool sampled = sampleTick();
+    obs::StageTimer span(sampled ? stage_.request : nullptr);
+    return enqueue({block_text}, true, sampled, true)[0].get();
+}
+
+std::vector<double>
+AsyncEngine::predictAll(const std::vector<std::string> &block_texts)
+{
+    // Every request in the group completes when this call returns,
+    // so the call span is each one's end-to-end latency: one pair of
+    // clock reads, recorded once per request.
+    const uint64_t begin = stage_.on() ? obs::nowNs() : 0;
+    std::vector<std::future<double>> futures =
+        enqueue(block_texts, true, sampleTick(), true);
+    std::vector<double> results;
+    results.reserve(futures.size());
+    for (std::future<double> &future : futures)
+        results.push_back(future.get());
+    if (stage_.on() && !block_texts.empty()) {
+        const uint64_t elapsed = obs::elapsedNs(begin, obs::nowNs());
+        for (size_t i = 0; i < block_texts.size(); ++i)
+            stage_.request->record(elapsed);
+    }
+    return results;
+}
+
+// ----------------------------------------------------------- batch core
+
+void
+AsyncEngine::serveBatch(Worker &worker, std::vector<Pending> &batch)
+{
+    ++stats_.batches;
+    // Singles from concurrent clients may repeat a block (or a
+    // racing batch may have published it since the intake probe):
+    // forward each distinct uncached block once.
+    std::vector<double> values(batch.size(), 0.0);
+    std::vector<const Pending *> forward;
+    std::vector<size_t> forward_of(batch.size(), SIZE_MAX);
+    std::unordered_map<isa::BlockId, size_t> first_of;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        const isa::BlockId id = batch[i].id;
+        if (id != isa::invalidBlockId) {
+            if (std::optional<double> hit = cache_.get(id)) {
+                values[i] = *hit;
+                continue;
+            }
+            auto [it, fresh] = first_of.try_emplace(id, forward.size());
+            if (!fresh) {
+                forward_of[i] = it->second;
+                continue;
+            }
+        }
+        forward_of[i] = forward.size();
+        forward.push_back(&batch[i]);
+    }
+    stats_.forwards += forward.size();
+
+    if (!forward.empty()) {
+        obs::StageTimer forward_span(stage_.forward);
+        const std::vector<double> predictions =
+            forwardMisses(worker, forward);
+        for (size_t i = 0; i < batch.size(); ++i)
+            if (forward_of[i] != SIZE_MAX)
+                values[i] = predictions[forward_of[i]];
+    }
+
+    // Publish, then fulfill: a client woken by its future must find
+    // the caches already warm.
+    for (size_t i = 0; i < batch.size(); ++i) {
+        if (forward_of[i] != SIZE_MAX &&
+            batch[i].id != isa::invalidBlockId)
+            cache_.put(batch[i].id, values[i]);
+        for (const std::string &text : batch[i].texts)
+            textCache_.put(text, values[i]);
+    }
+    for (size_t i = 0; i < batch.size(); ++i)
+        for (std::promise<double> &promise : batch[i].promises)
+            promise.set_value(values[i]);
+}
+
+std::vector<double>
+AsyncEngine::forwardMisses(Worker &worker,
+                           const std::vector<const Pending *> &misses)
+{
     const std::vector<nn::Tensor> &columns = snapshot_->inputColumns();
-    const size_t count = hi - lo;
+    const size_t count = misses.size();
     std::vector<std::shared_ptr<const surrogate::EncodedBlock>>
         encoded;
     std::vector<const surrogate::EncodedBlock *> blocks;
@@ -600,20 +506,19 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
     encoded.reserve(count);
     blocks.reserve(count);
     inst_ids.reserve(count);
-    for (size_t m = lo; m < hi; ++m) {
-        const Miss &miss = misses[m];
-        // Per-miss encoded-lane acquisition span; shard threads
+    for (const Pending *miss : misses) {
+        // Per-miss encoded-lane acquisition span; pool workers
         // record concurrently (record() is wait-free).
         obs::StageTimer encode_span(stage_.encode);
-        if (miss.id != isa::invalidBlockId) {
+        if (miss->id != isa::invalidBlockId) {
             // Pre-encoded cache: the token lanes of an interned
             // block are immutable, so a hit skips the vocabulary
             // encoding entirely. On a miss the lanes come from the
             // interner's per-instruction token storage (exactly
             // encodeBlock's output — intern.hh stores the canonical
             // encoding at intern time).
-            inst_ids.push_back(&interner_.instIds(miss.id));
-            if (auto hit = encodedCache_.get(miss.id)) {
+            inst_ids.push_back(&interner_.instIds(miss->id));
+            if (auto hit = encodedCache_.get(miss->id)) {
                 ++stats_.encodeHits;
                 encoded.push_back(std::move(*hit));
             } else {
@@ -622,7 +527,7 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
                 lanes->reserve(inst_ids.back()->size());
                 for (isa::InstId inst : *inst_ids.back())
                     lanes->push_back(interner_.tokens(inst));
-                encodedCache_.put(miss.id, lanes);
+                encodedCache_.put(miss->id, lanes);
                 encoded.push_back(std::move(lanes));
             }
         } else {
@@ -630,30 +535,30 @@ AsyncEngine::forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
             inst_ids.push_back(nullptr);
             encoded.push_back(
                 std::make_shared<surrogate::EncodedBlock>(
-                    surrogate::encodeBlock(miss.block)));
+                    surrogate::encodeBlock(miss->block)));
         }
     }
     for (const auto &e : encoded)
         blocks.push_back(e.get());
     if (!columns.empty()) {
         inst_params.reserve(count);
-        for (size_t m = lo; m < hi; ++m) {
+        for (const Pending *miss : misses) {
             inst_params.emplace_back();
-            inst_params.back().reserve(misses[m].block.size());
-            for (const auto &inst : misses[m].block.insts)
+            inst_params.back().reserve(miss->block.size());
+            for (const auto &inst : miss->block.insts)
                 inst_params.back().push_back(
                     &columns[size_t(inst.opcode)]);
         }
     }
     std::vector<double> heads;
-    artifact_.model->predictBatch(bf, blocks, inst_params, heads,
-                                  &sh.instCache, &inst_ids);
+    artifact_.model->predictBatch(*worker.batched, blocks, inst_params,
+                                  heads, &worker.instCache, &inst_ids);
     // Same expression as Graph::exp (the sequential path's final
     // node), so the kF64 batched prediction is bit-identical to
     // forwardEncoded's.
-    for (size_t m = lo; m < hi; ++m)
-        misses[m].prediction =
-            std::exp(std::min(heads[m - lo], 30.0));
+    for (double &head : heads)
+        head = std::exp(std::min(head, 30.0));
+    return heads;
 }
 
 double
@@ -687,50 +592,23 @@ AsyncEngine::predictUncached(const std::string &block_text) const
 // ----------------------------------------------------------- dispatcher
 
 void
-AsyncEngine::ensureDispatchersLocked()
-{
-    if (dispatchersStarted_)
-        return;
-    dispatchersStarted_ = true;
-    // Build every worker — including its private executor set —
-    // before any thread starts, so pool_ is immutable from here on
-    // and workers index siblings' queues without further
-    // coordination. The new threads block on queueMutex_ until the
-    // caller releases it, then find the request that triggered the
-    // start.
-    const size_t pool = poolSize();
-    pool_.reserve(pool);
-    for (size_t w = 0; w < pool; ++w) {
-        pool_.push_back(std::make_unique<DispatchWorker>());
-        DispatchWorker &worker = *pool_.back();
-        worker.shards.reserve(size_t(workers_));
-        for (int shard = 0; shard < workers_; ++shard) {
-            worker.shards.emplace_back();
-            worker.shards.back().batched =
-                std::make_unique<nn::BatchedForward>(snapshot_,
-                                                     precision_);
-        }
-    }
-    for (size_t w = 0; w < pool; ++w)
-        pool_[w]->thread =
-            std::thread(&AsyncEngine::dispatchLoop, this, w);
-}
-
-void
 AsyncEngine::dispatchLoop(size_t self)
 {
     // Async end-to-end latency: submit-time stamp to future
-    // fulfillment, one clock read per micro-batch. (Front-cache hits
-    // resolve inside submit and never reach this histogram.)
+    // fulfillment, one clock read per micro-batch. (Requests the
+    // intake answered from a cache never reach this histogram;
+    // predict / predictAll time their own calls.)
     auto recordRequests = [this](const std::vector<Pending> &batch) {
         if (!stage_.on())
             return;
         const uint64_t now = obs::nowNs();
         for (const Pending &pending : batch)
-            stage_.request->record(
-                obs::elapsedNs(pending.enqueuedNs, now));
+            if (!pending.callerTimed)
+                for (size_t k = 0; k < pending.promises.size(); ++k)
+                    stage_.request->record(
+                        obs::elapsedNs(pending.enqueuedNs, now));
     };
-    DispatchWorker &me = *pool_[self];
+    Worker &me = *pool_[self];
     std::vector<Pending> batch;
     uint64_t served_flushes = 0;
     while (true) {
@@ -743,7 +621,7 @@ AsyncEngine::dispatchLoop(size_t self)
                 return; // stopping and fully drained
             // Coalescing window: an undersized batch of this
             // worker's own traffic waits briefly for company —
-            // unless a flush (submitAll group, shutdown) already
+            // unless a flush (a group, shutdown) already
             // promised none is coming. A worker woken only to
             // steal (own queue empty) skips the wait: a backlog on
             // a busy sibling is dense traffic, and its owner
@@ -766,7 +644,6 @@ AsyncEngine::dispatchLoop(size_t self)
             // affinity), then — only when idle — steal from loaded
             // siblings, oldest requests first, scanning round-robin
             // from the next worker up.
-            batch.clear();
             std::deque<Pending> &own = me.queue;
             const size_t own_take =
                 std::min(own.size(), config_.maxBatch);
@@ -797,11 +674,16 @@ AsyncEngine::dispatchLoop(size_t self)
                 // on the owning queue to this pop — stolen requests
                 // keep their original stamp.
                 stage_.queueDepth->set(int64_t(totalQueued_));
-                stage_.batchSize->record(batch.size());
                 const uint64_t now = obs::nowNs();
-                for (const Pending &pending : batch)
-                    stage_.queueWait->record(
-                        obs::elapsedNs(pending.enqueuedNs, now));
+                size_t requests = 0;
+                for (const Pending &pending : batch) {
+                    requests += pending.promises.size();
+                    for (size_t k = 0; k < pending.promises.size(); ++k)
+                        stage_.queueWait->record(
+                            obs::elapsedNs(pending.enqueuedNs, now));
+                }
+                if (requests > 0) // not a sibling's drained backlog
+                    stage_.batchSize->record(requests);
             }
             // Only a fully-drained intake re-arms the coalescing
             // wait: a remainder (the tail of an oversized group, or
@@ -814,34 +696,22 @@ AsyncEngine::dispatchLoop(size_t self)
         if (batch.empty())
             continue; // a sibling drained the backlog first
 
-        // Serve with no queue lock held — on this worker's private
-        // executor set, no batchMutex_ — so clients keep submitting
-        // and batches on other pool workers run concurrently while
-        // this one executes.
-        std::vector<const std::string *> texts;
-        texts.reserve(batch.size());
-        for (const Pending &pending : batch)
-            texts.push_back(&pending.text);
-        std::vector<Outcome> outcomes;
+        // Serve with no queue lock held, on this worker's own
+        // executor, so clients keep submitting and batches on other
+        // pool workers run concurrently while this one executes.
         try {
-            outcomes = serveBatchOn(me.shards, texts, sampleTick());
+            serveBatch(me, batch);
         } catch (...) {
-            // serveBatchOn captures per-request errors; anything
-            // that still escapes (allocation failure) fails the
-            // whole micro-batch rather than abandoning the futures.
+            // Parse errors never get here (the intake answers them);
+            // anything that still escapes (allocation failure) fails
+            // the whole micro-batch rather than abandoning the
+            // futures. serveBatch fulfills nothing before it is done.
             for (Pending &pending : batch)
-                pending.promise.set_exception(
-                    std::current_exception());
-            recordRequests(batch);
-            continue;
-        }
-        for (size_t i = 0; i < batch.size(); ++i) {
-            if (outcomes[i].error)
-                batch[i].promise.set_exception(outcomes[i].error);
-            else
-                batch[i].promise.set_value(outcomes[i].value);
+                for (std::promise<double> &promise : pending.promises)
+                    promise.set_exception(std::current_exception());
         }
         recordRequests(batch);
+        batch.clear(); // frees the blocks outside queueMutex_
     }
 }
 

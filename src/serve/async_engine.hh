@@ -3,43 +3,46 @@
  * Serving API v2: a thread-safe, asynchronously-batched prediction
  * engine over one shared frozen WeightSnapshot.
  *
- * AsyncEngine is the serving core; the v1 serve::PredictionEngine
- * survives as a thin synchronous wrapper over it (serve/engine.hh).
- * Three things changed versus v1 (see docs/SERVING.md for the full
- * contract and migration notes):
+ * AsyncEngine is the only serving engine; docs/SERVING.md has the
+ * full contract and the migration note from the removed v1
+ * synchronous wrapper. Its shape:
  *
- *  - **Shared frozen weights.** All W shard executors borrow one
- *    nn::WeightSnapshot (weights, lazily-converted f32 panels,
- *    input-projection tables, per-opcode parameter-input columns)
- *    instead of holding per-shard copies, so per-engine weight
- *    allocations no longer scale with the worker count — and
- *    engines built from the same io::ModelSnapshot share too.
+ *  - **One knob, one executor per worker.** AsyncConfig::workers
+ *    sizes a dispatcher pool. Each pool worker owns an intake queue,
+ *    exactly one nn::BatchedForward executor and its
+ *    instruction-hidden memo, and runs its micro-batches on that
+ *    executor alone — there is no second, nested fork-join level.
+ *    All executors borrow one nn::WeightSnapshot (weights, lazily
+ *    converted f32 panels, input-projection tables, per-opcode
+ *    parameter-input columns), so per-engine weight allocations do
+ *    not scale with the worker count — and engines built from the
+ *    same io::ModelSnapshot share too.
+ *
+ *  - **One intake.** submit, submitAll, predict and predictAll all
+ *    enter through the same intake, which runs the whole front end
+ *    on the calling thread — raw-text cache, parse, intern,
+ *    prediction cache, with raw and canonical dedup across the
+ *    call — so only true misses queue for the pool. A single submit
+ *    stripes round-robin over the worker queues and waits up to
+ *    maxWaitMicros for company (idle workers steal from loaded
+ *    siblings); a group (submitAll, and predict / predictAll, which
+ *    are submitAll followed by get()) splits its misses over the
+ *    workers by the contiguous partition of base/parallel.hh's
+ *    shardChunk and flushes the coalescing wait.
  *
  *  - **Thread safety.** Any number of client threads may call any
- *    combination of submit / submitAll / predict / predictAll
- *    concurrently. Caches are sharded-mutex LRUs, stats are atomic,
- *    and the shard executors are serialized behind one batch mutex
- *    (they parallelize internally over shards, as in v1).
+ *    combination of the entry points concurrently. Caches are
+ *    sharded-mutex LRUs and stats are atomic.
  *
- *  - **Async micro-batched submission.** submit(text) returns a
- *    std::future immediately; a dispatcher pool (AsyncConfig::
- *    dispatchers workers, each with its own intake queue — striped
- *    round-robin assignment, idle-steal — and its own executor set)
- *    coalesces queued requests from many clients into micro-batches
- *    of up to maxBatch lanes (waiting at most maxWaitMicros for
- *    company), so concurrent single-block clients get batched
- *    execution — the amortization a DL-based simulator needs to
- *    win — without any client-side batching, and batches on
- *    different pool workers overlap on multi-core boxes.
+ * The front end behind the intake is a three-level cache key
+ * hierarchy (docs/FRONTEND.md): raw text -> interned canonical
+ * BlockId -> encoded token lanes. A miss in the raw-text front cache
+ * parses once, resolves to a dense BlockId in the engine's
+ * append-only isa::Interner, and probes the prediction and
+ * pre-encoded caches by that id — no canonical-text string is built
+ * on the hot path.
  *
- * The front end behind predict is a three-level cache key hierarchy
- * (docs/FRONTEND.md): raw text -> interned canonical BlockId ->
- * encoded token lanes. A miss in the raw-text front cache parses
- * once, resolves to a dense BlockId in the engine's append-only
- * isa::Interner, and probes the prediction and pre-encoded caches by
- * that id — no canonical-text string is built on the hot path.
- *
- * # Determinism contract (unchanged from v1)
+ * # Determinism contract
  *
  * A prediction is a pure function of the canonical block text and
  * the frozen checkpoint. Batching, arrival order, micro-batch
@@ -53,10 +56,10 @@
  *
  * shutdown() (also run by the destructor) stops intake, drains
  * every intake queue — every already-submitted future still
- * completes — and joins the dispatcher pool. submit after shutdown
- * throws
- * EngineStoppedError — a catchable rejection, not a process fatal:
- * a serving daemon must survive a client racing a drain (the
+ * completes — and joins the dispatcher pool. Every entry point
+ * (predict and predictAll included) throws EngineStoppedError
+ * afterwards — a catchable rejection, not a process fatal: a
+ * serving daemon must survive a client racing a drain (the
  * difftuned connection handler turns it into a "draining" wire
  * status and keeps running).
  */
@@ -64,7 +67,6 @@
 #ifndef DIFFTUNE_SERVE_ASYNC_ENGINE_HH
 #define DIFFTUNE_SERVE_ASYNC_ENGINE_HH
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -87,17 +89,23 @@ namespace difftune::serve
 /** AsyncEngine tuning knobs. */
 struct AsyncConfig
 {
-    int workers = 0;             ///< shard count (<= 0: library default)
+    /**
+     * Dispatcher-pool size, the engine's one parallelism knob (<= 0:
+     * library default, workerThreads()). Each pool worker owns one
+     * intake queue and one executor, so micro-batches on different
+     * workers overlap on a multi-core box. By the determinism
+     * contract it can never change a result (docs/TRAFFIC_LAB.md).
+     */
+    int workers = 0;
     size_t cacheCapacity = 8192; ///< LRU entries (each cache)
     /** Serving arithmetic (see nn/batched.hh; kF32 is opt-in). */
     nn::Precision precision = nn::Precision::kF64;
-    /** Micro-batcher: max requests coalesced into one batch. */
+    /** Micro-batcher: max queued misses coalesced into one batch. */
     size_t maxBatch = 64;
     /**
-     * Micro-batcher: longest a queued request waits for company
-     * before being dispatched undersized. Only queued (submit /
-     * submitAll) requests pay this; the synchronous calls run
-     * inline.
+     * Micro-batcher: longest a single submit waits for company
+     * before being dispatched undersized. Groups (submitAll,
+     * predict, predictAll) flush and never pay this.
      */
     int maxWaitMicros = 100;
     /** Lock stripes per LRU cache (<= 0: library default). */
@@ -137,18 +145,6 @@ struct AsyncConfig
      * construction (the DIFFTUNE_OBS_OFF kill switch).
      */
     obs::MetricRegistry *registry = nullptr;
-    /**
-     * Dispatcher-pool size for the async micro-batcher (<= 1: one
-     * dispatcher, the original behavior). Each pool worker owns an
-     * intake queue (striped round-robin assignment at submit, with
-     * idle workers stealing from loaded siblings) and a private set
-     * of shard executors, so micro-batches on different workers
-     * genuinely overlap on a multi-core box. By the determinism
-     * contract the pool size can never change a result — kF64
-     * replies stay bit-identical to the single-dispatcher engine
-     * for any size and arrival order (see docs/TRAFFIC_LAB.md).
-     */
-    int dispatchers = 1;
     /**
      * Replacement/admission policy for the serving caches, built
      * per stripe (null: classic LRU — decision-identical to the
@@ -206,7 +202,7 @@ struct ServeStats
 };
 
 /**
- * Thrown by submit/submitAll once shutdown() has closed intake.
+ * Thrown by every entry point once shutdown() has closed intake.
  * Deliberately an ordinary catchable exception (derived from
  * std::runtime_error, so pre-existing catch sites keep working)
  * rather than fatal(): a client racing a graceful drain is an
@@ -243,8 +239,7 @@ class AsyncEngine
 
     /**
      * Load @p path once and serve it (errors name the path). The
-     * engine is immovable, so the factory hands back a unique_ptr;
-     * the v1 wrapper's fromFile delegates here.
+     * engine is immovable, so the factory hands back a unique_ptr.
      */
     static std::unique_ptr<AsyncEngine>
     loadFromFile(const std::string &path, AsyncConfig config = {});
@@ -259,31 +254,35 @@ class AsyncEngine
 
     /**
      * Queue one block for prediction; the future completes when its
-     * micro-batch executes (or immediately on a front-cache hit).
-     * Parse/validation errors surface through the future.
+     * micro-batch executes, or before submit returns when a cache
+     * answers it. Parse/validation errors surface through the
+     * future.
      */
     std::future<double> submit(std::string block_text);
 
     /**
      * Queue a group; futures align with @p block_texts. The whole
-     * group is enqueued atomically and flushes the micro-batcher
-     * (no coalescing delay), so a group behaves like v1 predictAll
-     * submitted from another thread.
+     * group is enqueued atomically, split over the workers in
+     * contiguous ranges (base/parallel.hh shardChunk), and flushes
+     * the micro-batcher (no coalescing delay).
      */
     std::vector<std::future<double>>
     submitAll(std::vector<std::string> block_texts);
 
-    // ---- Synchronous API (inline, any thread)
+    // ---- Synchronous API (submitAll + get(), any thread)
 
-    /** Predict one block given in canonical assembly syntax. */
+    /**
+     * Predict one block given in canonical assembly syntax; parse
+     * errors are rethrown here.
+     */
     double predict(const std::string &block_text);
 
-    /** Predict a batch; results align with @p block_texts. */
+    /**
+     * Predict a batch; results align with @p block_texts. The first
+     * failing request (in order) rethrows its error.
+     */
     std::vector<double>
     predictAll(const std::vector<std::string> &block_texts);
-
-    /** Predict one already-parsed block (cached like predict()). */
-    double predictBlock(const isa::BasicBlock &block);
 
     /**
      * The uncached, unbatched reference path: parse + encode + one
@@ -295,7 +294,7 @@ class AsyncEngine
     // ---- Lifecycle
 
     /**
-     * Stop intake, drain every queued request, join the dispatcher.
+     * Stop intake, drain every queued request, join the pool.
      * Idempotent and safe to call from any thread (concurrent
      * callers serialize; each returns only once the drain is
      * complete); the destructor calls it too. Futures already
@@ -314,7 +313,7 @@ class AsyncEngine
     {
         return artifact_.table;
     }
-    /** The frozen snapshot every shard of this engine borrows. */
+    /** The frozen snapshot every executor of this engine borrows. */
     const nn::WeightSnapshot &snapshot() const { return *snapshot_; }
     std::shared_ptr<const nn::WeightSnapshot>
     snapshotPtr() const
@@ -336,7 +335,7 @@ class AsyncEngine
     /**
      * Bytes of weight-derived state this engine shares through its
      * snapshot: the f32 panels and projection tables (one copy per
-     * *shard* before v2) plus the per-opcode input columns (one
+     * *executor* before v2) plus the per-opcode input columns (one
      * copy per *engine* before v2). Constant in workers() by
      * construction, and shared further across engines built from
      * one io::ModelSnapshot.
@@ -348,78 +347,69 @@ class AsyncEngine
     }
 
   private:
-    /** One queued request. */
+    /**
+     * One queued miss: a block the intake could not answer from any
+     * cache, with every request of its group waiting on it (raw and
+     * canonical repeats within a group share one entry).
+     */
     struct Pending
-    {
-        std::string text;
-        std::promise<double> promise;
-        /** Enqueue instant (0 with telemetry off): the dispatcher
-         *  records queue-wait and end-to-end spans from it. */
-        uint64_t enqueuedNs = 0;
-    };
-
-    /** Per-request result of a served batch. */
-    struct Outcome
-    {
-        double value = 0.0;
-        std::exception_ptr error; ///< set iff the request failed
-    };
-
-    /** Blocks needing a forward pass within one batch. */
-    struct Miss
     {
         /** Interned canonical id, or invalidBlockId (interner full:
          *  served uncachably, bit-identically). */
         isa::BlockId id = isa::invalidBlockId;
         isa::BasicBlock block;
-        double prediction = 0.0;
-        std::vector<uint32_t> outputs; ///< outcome slots to fill
+        /** Raw spellings to publish to the front cache. */
+        std::vector<std::string> texts;
+        std::vector<std::promise<double>> promises;
+        /** Enqueue instant (0 with telemetry off): the worker
+         *  records queue-wait and end-to-end spans from it. */
+        uint64_t enqueuedNs = 0;
+        /** predict / predictAll time the whole call themselves, so
+         *  the worker records no request_ns for these. */
+        bool callerTimed = false;
     };
 
     /**
-     * requests accounting + raw-text front-cache probe, shared by
-     * every entry point. @return the cached value on a hit.
+     * One dispatcher-pool worker: an intake queue (guarded by
+     * queueMutex_ like all queue state), the one executor and
+     * instruction-hidden memo its thread serves batches on, and the
+     * thread. unique_ptr entries in pool_ keep addresses stable.
      */
-    std::optional<double> frontProbe(const std::string &text);
-
-    /** Per-shard executor + instruction-hidden memo (speed only). */
-    struct Shard
+    struct Worker
     {
+        std::deque<Pending> queue;
         std::unique_ptr<nn::BatchedForward> batched;
-        surrogate::InstHiddenCache instCache;
+        surrogate::InstHiddenCache instCache; ///< speed only
+        std::thread thread;
     };
 
     /**
-     * Serve @p texts (which already missed the front cache) on the
-     * synchronous executor set: takes batchMutex_, then delegates
-     * to serveBatchOn. Outcomes align with @p texts; per-request
-     * errors land in Outcome::error. @p sample_laps (from
-     * sampleTick()) turns the per-block stage laps on for this call.
+     * The one intake behind every entry point, on the calling
+     * thread: front-cache probe, then parse -> intern -> prediction
+     * cache, with raw and canonical dedup across @p texts; only the
+     * remaining misses queue. A @p group splits its misses over the
+     * workers in contiguous shardChunk ranges (worker 0 first) and
+     * flushes the coalescing wait; a single request takes the next
+     * round-robin stripe and may wait for company. @p sampled turns
+     * the front-end stage laps on; @p caller_timed marks the queued
+     * misses (see Pending).
      */
-    std::vector<Outcome>
-    serveBatch(const std::vector<const std::string *> &texts,
-               bool sample_laps);
+    std::vector<std::future<double>>
+    enqueue(const std::vector<std::string> &texts, bool group,
+            bool sampled, bool caller_timed);
 
     /**
-     * The batch core: dedup, parse, canonical-cache probe, shard
-     * fan-out over the misses on @p shards, cache publish. The
-     * caller must own @p shards exclusively — the sync path holds
-     * batchMutex_ over shards_; each dispatcher-pool worker passes
-     * its private set lock-free, which is how batches on different
-     * workers overlap.
+     * Forward @p batch on @p worker's executor as one lane batch
+     * (deduplicated by canonical id), publish to the caches and
+     * fulfill every waiting promise.
      */
-    std::vector<Outcome>
-    serveBatchOn(std::vector<Shard> &shards,
-                 const std::vector<const std::string *> &texts,
-                 bool sample_laps);
+    void serveBatch(Worker &worker, std::vector<Pending> &batch);
 
-    /**
-     * Run misses [lo, hi) through @p sh's executor as one lane
-     * batch and fill their predictions. The caller owns @p sh
-     * (shards of one set parallelize via parallelShards).
-     */
-    void forwardMissBatch(Shard &sh, std::vector<Miss> &misses,
-                          size_t lo, size_t hi);
+    /** Run @p misses through @p worker's executor as one lane batch;
+     *  @return their predictions, in order. */
+    std::vector<double>
+    forwardMisses(Worker &worker,
+                  const std::vector<const Pending *> &misses);
 
     /** Forward one encoded block on @p graph; returns exp(head). */
     double forwardEncoded(nn::Graph &graph,
@@ -429,25 +419,11 @@ class AsyncEngine
     /** Pool worker @p self: pop/steal, coalesce, serve, fulfill. */
     void dispatchLoop(size_t self);
 
-    /** Start the dispatcher pool if needed; caller holds
-     *  queueMutex_. */
-    void ensureDispatchersLocked();
-
     io::ModelSnapshot artifact_;
     std::shared_ptr<const nn::WeightSnapshot> snapshot_;
     int workers_;
     nn::Precision precision_;
     AsyncConfig config_;
-
-    /** Synchronous-path executors (guarded by batchMutex_). */
-    std::vector<Shard> shards_;
-
-    /**
-     * Serializes batch execution (the shard executors and their
-     * instruction caches are single-batch state). Cache probes and
-     * the queue do not take this lock.
-     */
-    std::mutex batchMutex_;
 
     /**
      * Interned canonical tables: every parsed block resolves to a
@@ -497,16 +473,18 @@ class AsyncEngine
     };
 
     /**
-     * Head-based trace sampling for the synchronous hot path: 1 in
-     * this many sync predicts / serveBatch calls records its spans
-     * (request_ns plus the per-block stage laps) — the decision is
-     * made once up front, so a sampled call yields one coherent
-     * trace. A clock read costs ~30 ns on shared runners and the
-     * warm hit path is only a few us, so always-on spans would
-     * blow bench_serve's 5% overhead gate; sampling keeps the
-     * percentiles representative at ~1/8 the cost. Async-submitted
-     * requests are exempt: the dispatcher records every one, since
-     * its clock reads amortize across the popped batch.
+     * Head-based trace sampling: 1 in this many intake calls is
+     * sampled — a sampled call records its front-end stage laps
+     * (parse, intern, prediction-cache probe), and a sampled predict
+     * its request_ns span (hits included). The decision is made once
+     * up front, so a sampled call yields one coherent trace. A clock
+     * read costs ~30 ns on shared runners and the warm hit path is
+     * only a few us, so always-on laps would blow bench_serve's 5%
+     * overhead gate; sampling keeps the percentiles representative
+     * at ~1/8 the cost. The worker records queue-wait, encode and
+     * forward spans for every queued miss, and request_ns for every
+     * queued submit / submitAll request: its clock reads amortize
+     * across the batch.
      */
     static constexpr uint64_t kStageSamplePeriod = 8;
 
@@ -522,52 +500,27 @@ class AsyncEngine
     std::string metricPrefix_;
 
     /**
-     * One dispatcher-pool worker: an intake queue (guarded by
-     * queueMutex_ like all queue state) plus a private executor set
-     * its thread serves batches on without touching batchMutex_.
-     * unique_ptr entries so worker addresses are stable.
-     */
-    struct DispatchWorker
-    {
-        std::deque<Pending> queue;
-        std::vector<Shard> shards;
-        std::thread thread;
-    };
-
-    /** Pool size the config resolves to (>= 1). */
-    size_t
-    poolSize() const
-    {
-        return size_t(std::max(config_.dispatchers, 1));
-    }
-
-    /**
      * One mutex guards every per-worker queue plus the stop/flush
      * flags: queue operations are tiny next to batch execution, so
      * striping the *lock* would buy nothing — what the per-worker
-     * queues buy is striped FIFO assignment, per-worker coalescing
-     * and idle-steal, and above all one private executor set per
-     * worker so batch *execution* overlaps.
+     * queues buy is contiguous group ranges, striped assignment of
+     * singles, per-worker coalescing and idle-steal, and above all
+     * one executor per worker so batch *execution* overlaps.
      */
     std::mutex queueMutex_;
     std::condition_variable queueCv_;
-    std::vector<std::unique_ptr<DispatchWorker>> pool_;
-    /** Round-robin intake stripe counter (submit picks a queue). */
+    /** workers_ entries, built and started at construction. */
+    std::vector<std::unique_ptr<Worker>> pool_;
+    /** Round-robin intake stripe counter (singles pick a queue). */
     std::atomic<uint64_t> intakeStripe_{0};
     /** Sum of all per-worker queue sizes (guarded by queueMutex_);
-     *  what the queue_depth gauge mirrors — with a pool, one
-     *  worker's queue alone would under-report the backlog. */
+     *  what the queue_depth gauge mirrors — one worker's queue
+     *  alone would under-report the backlog. */
     size_t totalQueued_ = 0;
-    uint64_t flushes_ = 0; ///< submitAll/shutdown flush generation
+    uint64_t flushes_ = 0; ///< group/shutdown flush generation
     bool stopping_ = false;
     /** Fast intake-closed check (set before stopping_ is taken). */
     std::atomic<bool> stopped_{false};
-    /**
-     * The pool starts lazily on the first queued request (guarded
-     * by queueMutex_), so engines used only through the synchronous
-     * API never own idle threads.
-     */
-    bool dispatchersStarted_ = false;
     /** Serializes shutdown(): exactly one caller joins. */
     std::mutex shutdownMutex_;
 };

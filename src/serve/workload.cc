@@ -38,7 +38,7 @@ powerLawWorkload(const bhive::Corpus &corpus, size_t requests,
 }
 
 NaiveRun
-runNaive(const PredictionEngine &engine,
+runNaive(const AsyncEngine &engine,
          const std::vector<std::string> &workload)
 {
     NaiveRun run;
@@ -52,7 +52,7 @@ runNaive(const PredictionEngine &engine,
 }
 
 ThroughputComparison
-engineVsNaive(PredictionEngine &engine,
+engineVsNaive(AsyncEngine &engine,
               const std::vector<std::string> &workload,
               const NaiveRun &naive, size_t wave, double rel_tol)
 {
@@ -103,7 +103,7 @@ engineVsNaive(PredictionEngine &engine,
 }
 
 ThroughputComparison
-compareThroughput(PredictionEngine &engine,
+compareThroughput(AsyncEngine &engine,
                   const std::vector<std::string> &workload,
                   size_t wave, double rel_tol)
 {
@@ -144,7 +144,7 @@ compareAsyncClients(const io::ModelSnapshot &artifact,
     result.threads = threads;
 
     // Single-caller baseline: one thread, one block at a time
-    // through the synchronous path — the v1 usage style.
+    // through predict (one request in flight at a time).
     {
         AsyncEngine engine(artifact, config);
         const auto begin = std::chrono::steady_clock::now();

@@ -12,7 +12,7 @@
 
 #include "bhive/corpus.hh"
 #include "obs/metrics.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 
 namespace difftune::serve
 {
@@ -56,7 +56,7 @@ struct NaiveRun
 };
 
 /** Run and time the naive reference over @p workload. */
-NaiveRun runNaive(const PredictionEngine &engine,
+NaiveRun runNaive(const AsyncEngine &engine,
                   const std::vector<std::string> &workload);
 
 /**
@@ -68,7 +68,7 @@ NaiveRun runNaive(const PredictionEngine &engine,
  * violation. The engine's caches are expected cold on entry.
  */
 ThroughputComparison
-engineVsNaive(PredictionEngine &engine,
+engineVsNaive(AsyncEngine &engine,
               const std::vector<std::string> &workload,
               const NaiveRun &naive, size_t wave = 250,
               double rel_tol = 0.0);
@@ -78,7 +78,7 @@ engineVsNaive(PredictionEngine &engine,
  * so the engine's cache starts cold).
  */
 ThroughputComparison
-compareThroughput(PredictionEngine &engine,
+compareThroughput(AsyncEngine &engine,
                   const std::vector<std::string> &workload,
                   size_t wave = 250, double rel_tol = 0.0);
 

@@ -32,8 +32,8 @@
 #include "hw/default_table.hh"
 #include "io/checkpoint.hh"
 #include "isa/tokens.hh"
+#include "serve/async_engine.hh"
 #include "serve/daemon.hh"
-#include "serve/engine.hh"
 #include "surrogate/model.hh"
 
 #ifndef DIFFTUNE_GOLDEN_DIR
@@ -489,10 +489,9 @@ TEST(Snapshot, MatchesEngineAndIsWorkerCountInvariant)
     EXPECT_EQ(a.corpusDigest, corpusDigest(texts));
 
     // The snapshot must be exactly what the engine serves.
-    serve::PredictionEngine engine =
-        serve::PredictionEngine::fromFile(ckpt.path());
+    const auto engine = serve::AsyncEngine::loadFromFile(ckpt.path());
     for (size_t i = 0; i < texts.size(); ++i)
-        EXPECT_EQ(a.blocks[i].bits, bits(engine.predict(texts[i])))
+        EXPECT_EQ(a.blocks[i].bits, bits(engine->predict(texts[i])))
             << "block " << i;
 
     // Serving determinism: a 3-worker snapshot is bit-identical.

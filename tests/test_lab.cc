@@ -6,7 +6,7 @@
  * counter reconciliation, LRU-behind-interface equivalence with the
  * legacy serve::LruCache, TinyLFU scan resistance), the CacheSim
  * sweep harness, and — the acceptance assertion of the lab PR —
- * bit-exact engine replay for every (policy, dispatcher-pool size)
+ * bit-exact engine replay for every (policy, worker count)
  * combination, plus pool behavior under concurrent submission and
  * registry hot-swap (the TSan target).
  */
@@ -30,7 +30,7 @@
 #include "lab/policy.hh"
 #include "lab/policy_cache.hh"
 #include "lab/trace.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 #include "serve/lru_cache.hh"
 #include "serve/registry.hh"
 
@@ -410,13 +410,13 @@ TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
 {
     // The lab acceptance assertion: replaying one trace through
     // AsyncEngine must produce bit-identical kF64 predictions for
-    // every cache policy x dispatcher-pool size combination — the
+    // every cache policy x worker-pool size combination — the
     // policy and the pool may only ever change speed, never results.
     // A deliberately tiny cache forces eviction/admission churn.
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(1));
     const std::vector<std::string> texts = trace.requestTexts();
 
-    serve::PredictionEngine reference(tinyCheckpoint());
+    serve::AsyncEngine reference(tinyCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const std::string &text : texts)
@@ -425,7 +425,7 @@ TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
     for (const std::string &policy : policyNames()) {
         for (int pool : {1, 2, 4}) {
             serve::AsyncConfig cfg;
-            cfg.dispatchers = pool;
+            cfg.workers = pool;
             cfg.cachePolicy = policyFactory(policy);
             cfg.cacheCapacity = 8;
             serve::AsyncEngine engine(tinyCheckpoint(), cfg);
@@ -447,19 +447,19 @@ TEST(LabReplay, BitStableForEveryPolicyAndPoolSize)
 
 TEST(LabReplay, PoolServesConcurrentClientsBitExact)
 {
-    // Concurrent clients x dispatcher pool: any interleaving, any
+    // Concurrent clients x worker pool: any interleaving, any
     // stripe assignment, any steal must still produce the reference
     // bits. (This is the pool's TSan workout too.)
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(2));
     const std::vector<std::string> texts = trace.requestTexts();
-    serve::PredictionEngine reference(tinyCheckpoint());
+    serve::AsyncEngine reference(tinyCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const std::string &text : texts)
         expected.push_back(reference.predict(text));
 
     serve::AsyncConfig cfg;
-    cfg.dispatchers = 4;
+    cfg.workers = 4;
     cfg.cacheCapacity = 16;
     serve::AsyncEngine engine(tinyCheckpoint(), cfg);
     std::atomic<int> mismatches{0};
@@ -490,7 +490,7 @@ TEST(LabReplay, PoolSurvivesRegistryHotSwapUnderLoad)
     // ThreadSanitizer.
     const TraceWorkload trace = TraceWorkload::generate(smallTrace(3));
     const std::vector<std::string> texts = trace.requestTexts();
-    serve::PredictionEngine reference(tinyCheckpoint());
+    serve::AsyncEngine reference(tinyCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const std::string &text : texts)
@@ -498,7 +498,7 @@ TEST(LabReplay, PoolSurvivesRegistryHotSwapUnderLoad)
 
     obs::MetricRegistry metrics;
     serve::RegistryConfig rcfg;
-    rcfg.engine.dispatchers = 2;
+    rcfg.engine.workers = 2;
     rcfg.engine.cacheCapacity = 16;
     rcfg.registry = &metrics;
     rcfg.metricRoot = "labswap";

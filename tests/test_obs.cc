@@ -28,7 +28,7 @@
 #include "obs/metrics.hh"
 #include "obs/stage_timer.hh"
 #include "params/sampling.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 
 namespace difftune::obs
 {

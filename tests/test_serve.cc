@@ -7,9 +7,9 @@
  * the lockstep masking path), invariance to the worker count,
  * surrogate-mode input handling, the f32 serving mode and its
  * checkpoint round trip, checkpoint validation at load, and
- * path-naming load errors. The engine under test is the v1
- * synchronous wrapper over serve::AsyncEngine; the v2 concurrency
- * surface is covered by tests/test_serve_async.cc.
+ * path-naming load errors, all through serve::AsyncEngine's
+ * synchronous calls (predict / predictAll); its concurrency surface
+ * is covered by tests/test_serve_async.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +18,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 
 #include "bhive/corpus.hh"
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 #include "serve/lru_cache.hh"
 
 namespace difftune::serve
@@ -86,7 +87,7 @@ sameBits(double a, double b)
 
 TEST(Engine, CacheHitBehavior)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     const std::string text = sampleBlocks[0];
 
     const double first = engine.predict(text);
@@ -109,7 +110,7 @@ TEST(Engine, CacheHitBehavior)
 
 TEST(Engine, CacheKeyIsCanonicalized)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     engine.predict("ADD32rr %ebx, %ecx\nNOP\n");
     // Comments and blank lines canonicalize away: same block, so the
     // second request must hit.
@@ -124,8 +125,8 @@ TEST(Engine, CacheKeyIsCanonicalized)
 
 TEST(Engine, BatchedEqualsSequential)
 {
-    PredictionEngine sequential(ithemalCheckpoint());
-    PredictionEngine batched(ithemalCheckpoint());
+    AsyncEngine sequential(ithemalCheckpoint());
+    AsyncEngine batched(ithemalCheckpoint());
 
     std::vector<double> expected;
     for (const auto &text : sampleBlocks)
@@ -146,8 +147,8 @@ TEST(Engine, BatchedEqualsSequential)
 
 TEST(Engine, BatchOfOneMatchesSingleAndUncached)
 {
-    PredictionEngine batched(ithemalCheckpoint());
-    PredictionEngine single(ithemalCheckpoint());
+    AsyncEngine batched(ithemalCheckpoint());
+    AsyncEngine single(ithemalCheckpoint());
     for (const auto &text : sampleBlocks) {
         const auto results = batched.predictAll({text});
         ASSERT_EQ(results.size(), 1u);
@@ -169,8 +170,8 @@ TEST(Engine, BatchLargerThanShardWorkingSet)
     for (size_t i = 0; i < corpus.size(); ++i)
         texts.push_back(isa::toString(corpus[i].block));
 
-    PredictionEngine batched(surrogateCheckpoint());
-    PredictionEngine sequential(surrogateCheckpoint());
+    AsyncEngine batched(surrogateCheckpoint());
+    AsyncEngine sequential(surrogateCheckpoint());
     const auto results = batched.predictAll(texts);
     ASSERT_EQ(results.size(), texts.size());
     for (size_t i = 0; i < texts.size(); ++i)
@@ -194,15 +195,15 @@ TEST(Engine, RaggedBlockLengthsCrossTheMaskPath)
         "ADD64rr %rdi, %rbx\n",
         "PUSH64r %rbx\nPOP64r %rcx\nADD32rr %ebx, %ecx\n",
     };
-    PredictionEngine batched(surrogateCheckpoint());
-    PredictionEngine sequential(surrogateCheckpoint());
+    AsyncEngine batched(surrogateCheckpoint());
+    AsyncEngine sequential(surrogateCheckpoint());
     const auto results = batched.predictAll(ragged);
     for (size_t i = 0; i < ragged.size(); ++i)
         EXPECT_TRUE(
             sameBits(results[i], sequential.predict(ragged[i])))
             << "block " << i;
     // And submission order must not matter.
-    PredictionEngine reversed(surrogateCheckpoint());
+    AsyncEngine reversed(surrogateCheckpoint());
     const std::vector<std::string> rev(ragged.rbegin(),
                                        ragged.rend());
     const auto back = reversed.predictAll(rev);
@@ -216,9 +217,9 @@ TEST(Engine, ResultsInvariantUnderWorkerCount)
 {
     std::vector<double> reference;
     for (int workers : {1, 2, 3, 7}) {
-        ServeConfig cfg;
+        AsyncConfig cfg;
         cfg.workers = workers;
-        PredictionEngine engine(ithemalCheckpoint(), cfg);
+        AsyncEngine engine(ithemalCheckpoint(), cfg);
         const auto results = engine.predictAll(sampleBlocks);
         if (reference.empty()) {
             reference = results;
@@ -229,11 +230,49 @@ TEST(Engine, ResultsInvariantUnderWorkerCount)
             EXPECT_TRUE(sameBits(results[i], reference[i]))
                 << "workers " << workers << " block " << i;
     }
+
+    // A submitAll group whose twins and one malformed block straddle
+    // the workers' contiguous ranges for every pool size above 1:
+    // slots 0/7 and 1/4 are twins, slot 5 does not parse.
+    const std::vector<std::string> group = {
+        sampleBlocks[0], sampleBlocks[1],     sampleBlocks[2],
+        sampleBlocks[3], sampleBlocks[1],     "BOGUS_OPCODE %zz\n",
+        "NOP\n",         sampleBlocks[0]};
+    constexpr size_t malformed = 5;
+    std::vector<double> group_reference;
+    for (int workers : {1, 2, 3, 4}) {
+        AsyncConfig cfg;
+        cfg.workers = workers;
+        AsyncEngine engine(ithemalCheckpoint(), cfg);
+        std::vector<std::future<double>> futures =
+            engine.submitAll(group);
+        std::vector<double> results(group.size(), 0.0);
+        for (size_t i = 0; i < group.size(); ++i) {
+            if (i == malformed) {
+                EXPECT_THROW(futures[i].get(), std::runtime_error)
+                    << "workers " << workers;
+            } else {
+                EXPECT_NO_THROW(results[i] = futures[i].get())
+                    << "workers " << workers << " slot " << i;
+            }
+        }
+        EXPECT_TRUE(sameBits(results[7], results[0]))
+            << "workers " << workers;
+        EXPECT_TRUE(sameBits(results[4], results[1]))
+            << "workers " << workers;
+        if (group_reference.empty()) {
+            group_reference = results;
+            continue;
+        }
+        for (size_t i = 0; i < results.size(); ++i)
+            EXPECT_TRUE(sameBits(results[i], group_reference[i]))
+                << "workers " << workers << " slot " << i;
+    }
 }
 
 TEST(Engine, UncachedMatchesCached)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     for (const auto &text : sampleBlocks) {
         const double uncached = engine.predictUncached(text);
         const double cached = engine.predict(text);
@@ -249,7 +288,7 @@ TEST(Engine, SurrogateModeMatchesManualForward)
     // Keep an aliased model view for the manual reference pass; the
     // engine owns the model but never mutates it.
     const surrogate::Model &model = *ckpt.model;
-    PredictionEngine engine(std::move(ckpt));
+    AsyncEngine engine(std::move(ckpt));
 
     const core::ParamNormalizer norm(dist);
     for (const auto &text : sampleBlocks) {
@@ -266,9 +305,9 @@ TEST(Engine, SurrogateModeMatchesManualForward)
 
 TEST(Engine, LruEvictionKeepsServing)
 {
-    ServeConfig cfg;
+    AsyncConfig cfg;
     cfg.cacheCapacity = 2;
-    PredictionEngine engine(ithemalCheckpoint(), cfg);
+    AsyncEngine engine(ithemalCheckpoint(), cfg);
     std::vector<double> first;
     for (const auto &text : sampleBlocks)
         first.push_back(engine.predict(text));
@@ -288,21 +327,21 @@ TEST(Engine, FileRoundTripServesIdentically)
     io::saveCheckpoint(path, ckpt.model.get(), &*ckpt.dist,
                        &*ckpt.table);
 
-    PredictionEngine original(std::move(ckpt));
-    PredictionEngine restored = PredictionEngine::fromFile(path);
+    AsyncEngine original(std::move(ckpt));
+    const auto restored = AsyncEngine::loadFromFile(path);
     std::remove(path.c_str());
 
     for (const auto &text : sampleBlocks)
         EXPECT_TRUE(sameBits(original.predict(text),
-                             restored.predict(text)));
+                             restored->predict(text)));
 }
 
 TEST(Engine, F32ModeTracksDoubleWithinGate)
 {
-    PredictionEngine f64_engine(surrogateCheckpoint());
-    ServeConfig cfg;
+    AsyncEngine f64_engine(surrogateCheckpoint());
+    AsyncConfig cfg;
     cfg.precision = nn::Precision::kF32;
-    PredictionEngine f32_engine(surrogateCheckpoint(), cfg);
+    AsyncEngine f32_engine(surrogateCheckpoint(), cfg);
     EXPECT_EQ(f32_engine.precision(), nn::Precision::kF32);
 
     const auto corpus = bhive::Corpus::generate(64, 0xf32);
@@ -325,10 +364,10 @@ TEST(Engine, F32ModeSingleAndBatchedAgree)
     // predictAll) must run the same f32 execution mode — a mixed
     // cache would serve different bits for the same block depending
     // on how it was first requested.
-    ServeConfig cfg;
+    AsyncConfig cfg;
     cfg.precision = nn::Precision::kF32;
-    PredictionEngine single(ithemalCheckpoint(), cfg);
-    PredictionEngine batched(ithemalCheckpoint(), cfg);
+    AsyncEngine single(ithemalCheckpoint(), cfg);
+    AsyncEngine batched(ithemalCheckpoint(), cfg);
     const auto results = batched.predictAll(sampleBlocks);
     for (size_t i = 0; i < sampleBlocks.size(); ++i)
         EXPECT_TRUE(
@@ -359,10 +398,10 @@ TEST(Engine, F32CheckpointRoundTripsThroughInfoAndPredict)
     EXPECT_EQ(reloaded.model->config().paramDim,
               original.model->config().paramDim);
 
-    ServeConfig cfg;
+    AsyncConfig cfg;
     cfg.precision = nn::Precision::kF32;
-    PredictionEngine from_f64(std::move(original), cfg);
-    PredictionEngine from_f32(std::move(reloaded), cfg);
+    AsyncEngine from_f64(std::move(original), cfg);
+    AsyncEngine from_f32(std::move(reloaded), cfg);
     for (const auto &text : sampleBlocks)
         EXPECT_TRUE(sameBits(from_f64.predict(text),
                              from_f32.predict(text)));
@@ -372,7 +411,7 @@ TEST(Engine, RejectsCheckpointWithoutModel)
 {
     io::Checkpoint ckpt;
     ckpt.table = hw::defaultTable(hw::Uarch::Haswell);
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)},
                  std::runtime_error);
 }
 
@@ -380,7 +419,7 @@ TEST(Engine, RejectsSurrogateWithoutTable)
 {
     io::Checkpoint ckpt = surrogateCheckpoint();
     ckpt.table.reset();
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)},
                  std::runtime_error);
 }
 
@@ -388,7 +427,7 @@ TEST(Engine, RejectsSurrogateWithoutDist)
 {
     io::Checkpoint ckpt = surrogateCheckpoint();
     ckpt.dist.reset();
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)},
                  std::runtime_error);
 }
 
@@ -396,7 +435,7 @@ TEST(Engine, FromFileErrorsNameTheOffendingPath)
 {
     // A missing file names the path...
     try {
-        PredictionEngine::fromFile("/nonexistent/missing.ckpt");
+        AsyncEngine::loadFromFile("/nonexistent/missing.ckpt");
         FAIL() << "expected a load failure";
     } catch (const std::runtime_error &error) {
         EXPECT_NE(std::string(error.what())
@@ -413,7 +452,7 @@ TEST(Engine, FromFileErrorsNameTheOffendingPath)
             .string();
     io::saveCheckpoint(path, ckpt.model.get(), nullptr, nullptr);
     try {
-        PredictionEngine::fromFile(path);
+        AsyncEngine::loadFromFile(path);
         std::remove(path.c_str());
         FAIL() << "expected a validation failure";
     } catch (const std::runtime_error &error) {
@@ -429,13 +468,13 @@ TEST(Engine, RejectsVocabMismatch)
 {
     io::Checkpoint ckpt = ithemalCheckpoint();
     ckpt.vocabSize += 1;
-    EXPECT_THROW(PredictionEngine{std::move(ckpt)},
+    EXPECT_THROW(AsyncEngine{std::move(ckpt)},
                  std::runtime_error);
 }
 
 TEST(Engine, RejectsEmptyBlock)
 {
-    PredictionEngine engine(ithemalCheckpoint());
+    AsyncEngine engine(ithemalCheckpoint());
     EXPECT_THROW(engine.predict("# only a comment\n"),
                  std::runtime_error);
     // Also catchable from the batched path: the validation must run

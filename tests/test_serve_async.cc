@@ -23,7 +23,7 @@
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
-#include "serve/engine.hh"
+#include "serve/async_engine.hh"
 
 namespace difftune::serve
 {
@@ -134,7 +134,7 @@ TEST(AsyncEngine, EnginesShareOneArtifactSnapshot)
 TEST(AsyncEngine, SubmitMatchesSequentialReference)
 {
     AsyncEngine engine(ithemalCheckpoint());
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     const auto texts = corpusTexts(16, 0x22);
     for (const auto &text : texts) {
         std::future<double> future = engine.submit(text);
@@ -149,7 +149,7 @@ TEST(AsyncEngine, ConcurrentInterleavedSubmissionIsBitExact)
     // result must be bit-identical regardless of thread count,
     // arrival order or how the micro-batcher slices the stream.
     const auto texts = corpusTexts(32, 0x33);
-    PredictionEngine reference(surrogateCheckpoint());
+    AsyncEngine reference(surrogateCheckpoint());
     std::vector<double> expected;
     expected.reserve(texts.size());
     for (const auto &text : texts)
@@ -227,7 +227,7 @@ TEST(AsyncEngine, ShutdownDrainsPendingFutures)
 {
     const auto texts = corpusTexts(24, 0x66);
     AsyncEngine engine(ithemalCheckpoint());
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     std::vector<std::future<double>> futures;
     futures.reserve(texts.size());
     for (const auto &text : texts)
@@ -249,8 +249,9 @@ TEST(AsyncEngine, SubmitAfterShutdownThrowsCatchableError)
     // Regression: submit/submitAll on a stopped engine used to hit
     // fatal_if — noisy and indistinguishable from a real invariant
     // violation. A draining engine is an expected serving state
-    // (difftuned answers it with a "draining" wire status), so both
-    // entry points must throw the dedicated, quiet error type.
+    // (difftuned answers it with a "draining" wire status), so every
+    // entry point must throw the dedicated, quiet error type —
+    // predict and predictAll too, since they share the intake.
     const auto texts = corpusTexts(4, 0x99);
     AsyncEngine engine(ithemalCheckpoint());
     EXPECT_TRUE(sameBits(engine.submit(texts[0]).get(),
@@ -258,6 +259,9 @@ TEST(AsyncEngine, SubmitAfterShutdownThrowsCatchableError)
     engine.shutdown();
     EXPECT_THROW(engine.submit(texts[0]), EngineStoppedError);
     EXPECT_THROW(engine.submitAll(texts), EngineStoppedError);
+    EXPECT_THROW(engine.predict(texts[0]), EngineStoppedError);
+    EXPECT_THROW(engine.predict(texts[1]), EngineStoppedError);
+    EXPECT_THROW(engine.predictAll(texts), EngineStoppedError);
     // The rejections leave the counters reconciled: requests ==
     // hits + misses still holds for the lifetime totals.
     const auto &stats = engine.stats();
@@ -277,22 +281,9 @@ TEST(AsyncEngine, ParseErrorsPropagateThroughFutures)
     EXPECT_GT(futures[0].get(), 0.0);
     EXPECT_THROW(futures[1].get(), std::runtime_error);
     EXPECT_GT(futures[2].get(), 0.0);
-    // The synchronous wrapper surfaces the same error by throwing.
+    // predict surfaces the same error by throwing.
     EXPECT_THROW(engine.predict("BOGUS_OPCODE %zz\n"),
                  std::runtime_error);
-}
-
-TEST(AsyncEngine, WrapperAndAsyncServeIdenticalBits)
-{
-    const auto texts = corpusTexts(12, 0x88);
-    PredictionEngine wrapper(surrogateCheckpoint());
-    AsyncEngine direct(surrogateCheckpoint());
-    for (const auto &text : texts) {
-        const double a = wrapper.predict(text);
-        const double b = direct.submit(text).get();
-        EXPECT_TRUE(sameBits(a, b));
-        EXPECT_TRUE(sameBits(a, wrapper.predictUncached(text)));
-    }
 }
 
 TEST(AsyncEngine, F32ConcurrentSubmissionIsDeterministic)
@@ -333,7 +324,7 @@ TEST(AsyncEngine, ConcurrentSyncCallsAreSafe)
     // "single-caller" restriction is gone): hammer predict and
     // predictAll from several threads.
     const auto texts = corpusTexts(24, 0xaa);
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     std::vector<double> expected;
     for (const auto &text : texts)
         expected.push_back(reference.predict(text));
@@ -370,9 +361,9 @@ TEST(AsyncEngine, PoolShutdownDrainsEveryQueue)
     // one dispatcher's.
     const auto texts = corpusTexts(24, 0xbb);
     AsyncConfig cfg;
-    cfg.dispatchers = 4;
+    cfg.workers = 4;
     AsyncEngine engine(ithemalCheckpoint(), cfg);
-    PredictionEngine reference(ithemalCheckpoint());
+    AsyncEngine reference(ithemalCheckpoint());
     std::vector<std::future<double>> futures;
     futures.reserve(texts.size());
     for (const auto &text : texts)
@@ -395,7 +386,7 @@ TEST(AsyncEngine, PoolQueueMetricsReconcile)
     const auto texts = corpusTexts(32, 0xcc);
     obs::MetricRegistry registry;
     AsyncConfig cfg;
-    cfg.dispatchers = 4;
+    cfg.workers = 4;
     cfg.registry = &registry;
     cfg.metricPrefix = "poolrec";
     AsyncEngine engine(ithemalCheckpoint(), cfg);

@@ -93,7 +93,7 @@ std::vector<double>
 references(const io::ModelSnapshot &artifact,
            const std::vector<std::string> &texts)
 {
-    const PredictionEngine engine(artifact);
+    const AsyncEngine engine(artifact);
     std::vector<double> refs;
     refs.reserve(texts.size());
     for (const auto &text : texts)

@@ -5,12 +5,12 @@
 #      require the two trace files to be byte-identical (the
 #      deterministic-generation contract)
 #   2. sweep the trace through every registered cache policy
-#   3. replay the trace locally for every policy x pool size in
+#   3. replay the trace locally for every policy x worker count in
 #      {lru, slru, tinylfu} x {1, 2, 4} with --check: every reply
 #      must be bit-exact against the engine's uncached reference,
-#      so pool size and policy provably change only speed
+#      so worker count and policy provably change only speed
 #   4. serve the checkpoint through a pool-served difftuned
-#      (--dispatchers 2), replay the trace against it over the wire
+#      (--workers 2), replay the trace against it over the wire
 #      (self-consistency audit), and difftune_compare check the
 #      daemon against a checkpoint-built .preds artifact (exit 0 =
 #      every block bit-exact across the process boundary)
@@ -60,21 +60,22 @@ cmp "$WORKDIR/a.trace" "$WORKDIR/b.trace" ||
 step "policy sweep"
 "$LAB" sweep "$WORKDIR/a.trace" --capacity 16
 
-step "replay matrix: policy x pool, bit-exact vs uncached reference"
+step "replay matrix: policy x workers, bit-exact vs uncached reference"
 # --check exits 1 if any reply differs from predictUncached, so an
 # exit 0 over the full matrix asserts the acceptance bit-stability:
-# every policy and every pool size in {1, 2, 4} serves the same bits.
+# every policy and every worker count in {1, 2, 4} serves the same
+# bits.
 for policy in lru slru tinylfu; do
-    for pool in 1 2 4; do
-        echo "   policy=$policy pool=$pool"
+    for workers in 1 2 4; do
+        echo "   policy=$policy workers=$workers"
         "$LAB" replay "$WORKDIR/a.trace" --ckpt "$WORKDIR/m.ckpt" \
-            --policy "$policy" --dispatchers "$pool" \
+            --policy "$policy" --workers "$workers" \
             --capacity 16 --check
     done
 done
 
-step "start pool-served difftuned (--dispatchers 2, ephemeral port)"
-"$DIFFTUNED" serve default="$WORKDIR/m.ckpt" --dispatchers 2 \
+step "start pool-served difftuned (--workers 2, ephemeral port)"
+"$DIFFTUNED" serve default="$WORKDIR/m.ckpt" --workers 2 \
     --port 0 --port-file "$WORKDIR/port.txt" &
 DAEMON_PID=$!
 
