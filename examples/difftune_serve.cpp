@@ -349,7 +349,7 @@ cmdBench(int argc, char **argv)
               << stats.textMisses.load() << " misses, "
               << stats.hits.load() << " total cache hits, "
               << stats.internHits.load() << " intern hits, "
-              << stats.encodeHits.load() << " encode hits, "
+              << stats.encodeHits.load() << " interner-lane forwards, "
               << stats.forwards.load() << " forwards, "
               << stats.batches.load() << " batches\n"
               << "front end: matvec kernel " << nn::matvecPathName()

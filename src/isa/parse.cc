@@ -102,9 +102,11 @@ parseIntPrefix(std::string_view text, size_t &consumed)
     consumed = pos;
     if (overflow)
         magnitude = limit;
-    // uint64 -> int64 wraps modulo 2^64 (well-defined since C++20),
-    // so the negative limit 2^63 lands exactly on INT64_MIN.
-    return negative ? -int64_t(magnitude) : int64_t(magnitude);
+    // Negate in unsigned arithmetic (wraps modulo 2^64), then
+    // convert: uint64 -> int64 is modular since C++20, so the
+    // negative limit 2^63 lands exactly on INT64_MIN. Negating
+    // int64_t(2^63) instead would overflow a signed value.
+    return negative ? int64_t(0 - magnitude) : int64_t(magnitude);
 }
 
 /** The mnemonic slice of @p line; @p pos ends just past it. */

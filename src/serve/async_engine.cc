@@ -51,17 +51,11 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
       textCache_(config.cacheCapacity, cacheStripes(config),
                  config.cachePolicy),
       cache_(config.cacheCapacity, cacheStripes(config),
-             config.cachePolicy),
-      encodedCache_(config.encodedCapacity > 0
-                        ? config.encodedCapacity
-                        : 4 * config.cacheCapacity,
-                    cacheStripes(config), config.cachePolicy)
+             config.cachePolicy)
 {
     fatal_if(!artifact_.model || !artifact_.weights,
              "AsyncEngine needs a promoted ModelSnapshot "
              "(io::makeModelSnapshot)");
-    fatal_if(config_.maxBatch == 0, "maxBatch must be >= 1");
-    fatal_if(config_.maxWaitMicros < 0, "maxWaitMicros must be >= 0");
 
     const int param_dim = artifact_.model->config().paramDim;
     if (param_dim > 0) {
@@ -310,9 +304,9 @@ AsyncEngine::enqueue(const std::vector<std::string> &texts, bool group,
         }
         clk.lap(stage_.parse);
         // Resolve the parsed block to its interned canonical id —
-        // the key for the prediction and pre-encoded caches. A
-        // near-miss spelling of a known block lands on its existing
-        // id here, with no canonical string ever built.
+        // the key for the prediction cache. A near-miss spelling of
+        // a known block lands on its existing id here, with no
+        // canonical string ever built.
         bool known = false;
         const isa::BlockId id = interner_.internBlock(block, known);
         if (known)
@@ -498,48 +492,34 @@ AsyncEngine::forwardMisses(Worker &worker,
 {
     const std::vector<nn::Tensor> &columns = snapshot_->inputColumns();
     const size_t count = misses.size();
-    std::vector<std::shared_ptr<const surrogate::EncodedBlock>>
-        encoded;
+    std::vector<surrogate::EncodedBlock> encoded(count);
     std::vector<const surrogate::EncodedBlock *> blocks;
     std::vector<const std::vector<isa::InstId> *> inst_ids;
     std::vector<std::vector<const nn::Tensor *>> inst_params;
-    encoded.reserve(count);
     blocks.reserve(count);
     inst_ids.reserve(count);
-    for (const Pending *miss : misses) {
-        // Per-miss encoded-lane acquisition span; pool workers
-        // record concurrently (record() is wait-free).
+    for (size_t m = 0; m < count; ++m) {
+        // Per-miss lane acquisition span; pool workers record
+        // concurrently (record() is wait-free).
         obs::StageTimer encode_span(stage_.encode);
-        if (miss->id != isa::invalidBlockId) {
-            // Pre-encoded cache: the token lanes of an interned
-            // block are immutable, so a hit skips the vocabulary
-            // encoding entirely. On a miss the lanes come from the
-            // interner's per-instruction token storage (exactly
-            // encodeBlock's output — intern.hh stores the canonical
-            // encoding at intern time).
-            inst_ids.push_back(&interner_.instIds(miss->id));
-            if (auto hit = encodedCache_.get(miss->id)) {
-                ++stats_.encodeHits;
-                encoded.push_back(std::move(*hit));
-            } else {
-                auto lanes =
-                    std::make_shared<surrogate::EncodedBlock>();
-                lanes->reserve(inst_ids.back()->size());
-                for (isa::InstId inst : *inst_ids.back())
-                    lanes->push_back(interner_.tokens(inst));
-                encodedCache_.put(miss->id, lanes);
-                encoded.push_back(std::move(lanes));
-            }
+        const Pending &miss = *misses[m];
+        if (miss.id != isa::invalidBlockId) {
+            // An interned block's lanes come from the interner's
+            // per-instruction token storage — exactly encodeBlock's
+            // output (intern.hh stores the canonical encoding at
+            // intern time).
+            ++stats_.encodeHits;
+            inst_ids.push_back(&interner_.instIds(miss.id));
+            encoded[m].reserve(inst_ids.back()->size());
+            for (isa::InstId inst : *inst_ids.back())
+                encoded[m].push_back(interner_.tokens(inst));
         } else {
-            // Interner full: encode from scratch, cache nothing.
+            // Interner full: encode from scratch.
             inst_ids.push_back(nullptr);
-            encoded.push_back(
-                std::make_shared<surrogate::EncodedBlock>(
-                    surrogate::encodeBlock(miss->block)));
+            encoded[m] = surrogate::encodeBlock(miss.block);
         }
+        blocks.push_back(&encoded[m]);
     }
-    for (const auto &e : encoded)
-        blocks.push_back(e.get());
     if (!columns.empty()) {
         inst_params.reserve(count);
         for (const Pending *miss : misses) {
@@ -627,16 +607,14 @@ AsyncEngine::dispatchLoop(size_t self)
             // a busy sibling is dense traffic, and its owner
             // already paid any coalescing delay.
             if (!stopping_ && !me.queue.empty() &&
-                me.queue.size() < config_.maxBatch &&
-                served_flushes == flushes_ &&
-                config_.maxWaitMicros > 0) {
+                me.queue.size() < kMaxBatch &&
+                served_flushes == flushes_) {
                 obs::StageTimer coalesce_span(stage_.coalesce);
                 queueCv_.wait_for(
-                    lock,
-                    std::chrono::microseconds(config_.maxWaitMicros),
+                    lock, std::chrono::microseconds(kMaxWaitMicros),
                     [this, &me, served_flushes] {
                         return stopping_ ||
-                               me.queue.size() >= config_.maxBatch ||
+                               me.queue.size() >= kMaxBatch ||
                                served_flushes != flushes_;
                     });
             }
@@ -645,8 +623,7 @@ AsyncEngine::dispatchLoop(size_t self)
             // siblings, oldest requests first, scanning round-robin
             // from the next worker up.
             std::deque<Pending> &own = me.queue;
-            const size_t own_take =
-                std::min(own.size(), config_.maxBatch);
+            const size_t own_take = std::min(own.size(), kMaxBatch);
             batch.reserve(own_take);
             for (size_t i = 0; i < own_take; ++i) {
                 batch.push_back(std::move(own.front()));
@@ -654,13 +631,11 @@ AsyncEngine::dispatchLoop(size_t self)
             }
             if (batch.empty()) {
                 for (size_t step = 1;
-                     step < pool_.size() &&
-                     batch.size() < config_.maxBatch;
+                     step < pool_.size() && batch.size() < kMaxBatch;
                      ++step) {
                     std::deque<Pending> &victim =
                         pool_[(self + step) % pool_.size()]->queue;
-                    while (!victim.empty() &&
-                           batch.size() < config_.maxBatch) {
+                    while (!victim.empty() && batch.size() < kMaxBatch) {
                         batch.push_back(std::move(victim.front()));
                         victim.pop_front();
                     }
@@ -687,7 +662,7 @@ AsyncEngine::dispatchLoop(size_t self)
             }
             // Only a fully-drained intake re-arms the coalescing
             // wait: a remainder (the tail of an oversized group, or
-            // a backlog of singles deeper than maxBatch) is dense
+            // a backlog of singles deeper than kMaxBatch) is dense
             // traffic that must be served immediately, not held for
             // company that is already here.
             served_flushes =

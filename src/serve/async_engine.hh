@@ -24,7 +24,7 @@
  *    prediction cache, with raw and canonical dedup across the
  *    call — so only true misses queue for the pool. A single submit
  *    stripes round-robin over the worker queues and waits up to
- *    maxWaitMicros for company (idle workers steal from loaded
+ *    kMaxWaitMicros for company (idle workers steal from loaded
  *    siblings); a group (submitAll, and predict / predictAll, which
  *    are submitAll followed by get()) splits its misses over the
  *    workers by the contiguous partition of base/parallel.hh's
@@ -34,13 +34,14 @@
  *    combination of the entry points concurrently. Caches are
  *    sharded-mutex LRUs and stats are atomic.
  *
- * The front end behind the intake is a three-level cache key
+ * The front end behind the intake is a two-level cache key
  * hierarchy (docs/FRONTEND.md): raw text -> interned canonical
- * BlockId -> encoded token lanes. A miss in the raw-text front cache
- * parses once, resolves to a dense BlockId in the engine's
- * append-only isa::Interner, and probes the prediction and
- * pre-encoded caches by that id — no canonical-text string is built
- * on the hot path.
+ * BlockId. A miss in the raw-text front cache parses once, resolves
+ * to a dense BlockId in the engine's append-only isa::Interner, and
+ * probes the prediction cache by that id — no canonical-text string
+ * is built on the hot path. A forwarded interned block takes its
+ * token lanes straight from the interner, which stores each
+ * instruction's encoding once.
  *
  * # Determinism contract
  *
@@ -100,25 +101,8 @@ struct AsyncConfig
     size_t cacheCapacity = 8192; ///< LRU entries (each cache)
     /** Serving arithmetic (see nn/batched.hh; kF32 is opt-in). */
     nn::Precision precision = nn::Precision::kF64;
-    /** Micro-batcher: max queued misses coalesced into one batch. */
-    size_t maxBatch = 64;
-    /**
-     * Micro-batcher: longest a single submit waits for company
-     * before being dispatched undersized. Groups (submitAll,
-     * predict, predictAll) flush and never pay this.
-     */
-    int maxWaitMicros = 100;
     /** Lock stripes per LRU cache (<= 0: library default). */
     int cacheStripes = 0;
-    /**
-     * Pre-encoded block cache entries (0: 4x cacheCapacity). Sized
-     * larger than the prediction LRU on purpose: an encoded entry
-     * is ~100 bytes and saves a full tokenizer-encoding pass, so
-     * encodings should outlive the predictions they back — a block
-     * whose prediction was evicted then forwards again straight
-     * from its cached lanes.
-     */
-    size_t encodedCapacity = 0;
     /**
      * Interned canonical blocks bound (0: library default, 64Ki;
      * the instruction table gets 2x this). The interner is
@@ -194,9 +178,11 @@ struct ServeStats
      */
     std::atomic<uint64_t> internHits{0};
     /**
-     * Forward-pass blocks whose encoded token lanes came from the
-     * pre-encoded cache instead of re-running the tokenizer →
-     * vocabulary encoding. At most one per entry of forwards.
+     * Forward-pass blocks whose token lanes came from the interner's
+     * per-instruction encodings rather than from a fresh
+     * surrogate::encodeBlock. At most one per entry of forwards:
+     * forwards - encodeHits counts the uninterned forwards (blocks
+     * served past a full interner).
      */
     std::atomic<uint64_t> encodeHits{0};
 };
@@ -249,6 +235,15 @@ class AsyncEngine
 
     AsyncEngine(const AsyncEngine &) = delete;
     AsyncEngine &operator=(const AsyncEngine &) = delete;
+
+    /** Micro-batcher: max queued misses coalesced into one batch. */
+    static constexpr size_t kMaxBatch = 64;
+    /**
+     * Micro-batcher: longest a single submit waits for company
+     * before being dispatched undersized. Groups (submitAll,
+     * predict, predictAll) flush and never pay this.
+     */
+    static constexpr int kMaxWaitMicros = 100;
 
     // ---- Asynchronous API (micro-batched, any thread)
 
@@ -428,24 +423,16 @@ class AsyncEngine
     /**
      * Interned canonical tables: every parsed block resolves to a
      * dense BlockId here (append-only, lock-free reads), and the
-     * BlockId keys both LRUs below — no canonical-text string is
-     * built on the hot path. Private to this engine: its ids never
-     * mean anything to another engine's caches.
+     * BlockId keys the prediction cache — no canonical-text string
+     * is built on the hot path. Its per-instruction token storage
+     * supplies a forwarded block's lanes. Private to this engine:
+     * its ids never mean anything to another engine's caches.
      */
     isa::Interner interner_;
     /** Front cache keyed by the *raw* request text. */
     ShardedLruCache<std::string, double> textCache_;
     /** Main cache: interned canonical block -> prediction. */
     ShardedLruCache<isa::BlockId, double> cache_;
-    /**
-     * Pre-encoded block cache: interned canonical block -> encoded
-     * token lanes, so a forward pass for a known block skips the
-     * vocabulary encoding (shared_ptr values: a hit borrows the
-     * entry even if a racing put evicts it).
-     */
-    ShardedLruCache<isa::BlockId,
-                    std::shared_ptr<const surrogate::EncodedBlock>>
-        encodedCache_;
     ServeStats stats_;
 
     /**

@@ -2,8 +2,10 @@
  * @file
  * Minimal intrusive-order LRU cache: an std::list holds entries in
  * recency order and an unordered_map indexes list iterators, so get,
- * put and eviction are all O(1). Used by the prediction engine to
- * memoize per-block results keyed by canonicalized block text.
+ * put and eviction are all O(1). The serving engine does not use it
+ * (its caches are serve::ShardedLruCache stripes over lab policies);
+ * it is the test reference the `lru` policy is checked against
+ * (CachePolicy.LruPolicyMatchesLegacyLruCache in test_lab).
  */
 
 #ifndef DIFFTUNE_SERVE_LRU_CACHE_HH

@@ -1,8 +1,10 @@
 /**
  * @file
- * Synthetic serving workloads and the naive-vs-batched throughput
- * comparison shared by bench/bench_serve and the difftune_serve
- * CLI's `bench` command, so the two report the same experiment.
+ * Synthetic serving workloads and the client harnesses (naive vs
+ * batched throughput, multi-client async, daemon clients) shared by
+ * bench/bench_serve, the difftune_serve CLI's `bench` command, the
+ * difftuned CLI's `client` command and tests/test_serve_daemon, so
+ * they all report the same experiment.
  */
 
 #ifndef DIFFTUNE_SERVE_WORKLOAD_HH

@@ -599,16 +599,15 @@ ithemalCheckpoint()
 
 TEST(FrontendServe, InternAndEncodeCountersTrack)
 {
-    // Single worker, one stripe, tiny prediction/text LRUs but a
-    // roomy pre-encoded cache: re-requesting an evicted block must
-    // re-forward from its cached token lanes (encode hit), and a
-    // respelled known block must resolve through the interner
-    // (intern hit) into the prediction LRU.
+    // Single worker, one stripe, tiny prediction/text LRUs:
+    // re-requesting an evicted block must re-forward with its token
+    // lanes taken from the interner (encode hit), and a respelled
+    // known block must resolve through the interner (intern hit)
+    // into the prediction LRU.
     serve::AsyncConfig cfg;
     cfg.workers = 1;
     cfg.cacheStripes = 1;
     cfg.cacheCapacity = 4;
-    cfg.encodedCapacity = 64;
     serve::AsyncEngine engine(ithemalCheckpoint(), cfg);
     const serve::ServeStats &stats = engine.stats();
 
@@ -622,15 +621,19 @@ TEST(FrontendServe, InternAndEncodeCountersTrack)
     EXPECT_EQ(8u, stats.misses.load());
     EXPECT_EQ(8u, stats.forwards.load());
     EXPECT_EQ(0u, stats.internHits.load());
-    EXPECT_EQ(0u, stats.encodeHits.load());
+    // Every block was interned before it forwarded, so every
+    // forward took its lanes from the interner.
+    EXPECT_EQ(8u, stats.encodeHits.load());
     EXPECT_EQ(8u, engine.interner().numBlocks());
 
     // texts[0] fell out of every capacity-4 LRU, but its canonical
-    // form is interned and its token lanes are still cached: the
-    // re-request re-forwards without re-encoding.
-    EXPECT_EQ(first[0], engine.predict(texts[0]));
+    // form is interned: the re-request re-forwards with the
+    // interner's lanes, bit-identical to the uncached reference.
+    const double again = engine.predict(texts[0]);
+    EXPECT_EQ(first[0], again);
+    EXPECT_EQ(engine.predictUncached(texts[0]), again);
     EXPECT_EQ(1u, stats.internHits.load());
-    EXPECT_EQ(1u, stats.encodeHits.load());
+    EXPECT_EQ(9u, stats.encodeHits.load());
     EXPECT_EQ(9u, stats.forwards.load());
 
     // texts[7] is still in the raw-text front cache: no parse, no
@@ -646,6 +649,7 @@ TEST(FrontendServe, InternAndEncodeCountersTrack)
     EXPECT_EQ(first[6], engine.predict(respell(texts[6], rng)));
     EXPECT_EQ(2u, stats.internHits.load());
     EXPECT_EQ(9u, stats.forwards.load());
+    EXPECT_EQ(9u, stats.encodeHits.load());
     EXPECT_EQ(8u, engine.interner().numBlocks()); // nothing new
 
     // The PR-5 stats reconciliation still holds with the new
@@ -697,6 +701,9 @@ TEST(FrontendServe, FullInternerStillServesCorrectly)
     EXPECT_EQ(cramped.predictUncached(texts[2]),
               cramped.predict(respell(texts[2], rng)));
     EXPECT_EQ(17u, stats.forwards.load());
+    // Only the four interned blocks' forwards took their lanes from
+    // the interner; the other 13 forwards ran encodeBlock.
+    EXPECT_EQ(4u, stats.encodeHits.load());
 
     EXPECT_EQ(stats.requests.load(),
               stats.textHits.load() + stats.textMisses.load());

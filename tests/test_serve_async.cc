@@ -210,17 +210,20 @@ TEST(AsyncEngine, SubmitAllGroupMatchesPredictAll)
 
 TEST(AsyncEngine, MicroBatcherCoalescesUnderMaxBatch)
 {
-    // A submitAll group larger than maxBatch must split into
-    // multiple executed batches; one no larger than maxBatch must
-    // not add batches beyond the group flush.
-    const auto texts = corpusTexts(30, 0x55);
+    // On one worker, a submitAll group of more than 2 * kMaxBatch
+    // distinct misses must split into at least three executed
+    // batches. (With a pool, the group split alone would meet the
+    // bound.)
+    const auto texts = corpusTexts(2 * AsyncEngine::kMaxBatch + 2, 0x55);
+    const std::unordered_set<std::string> distinct(texts.begin(),
+                                                   texts.end());
+    ASSERT_GT(distinct.size(), 2 * AsyncEngine::kMaxBatch);
     AsyncConfig cfg;
-    cfg.maxBatch = 8;
+    cfg.workers = 1;
     AsyncEngine engine(ithemalCheckpoint(), cfg);
     for (std::future<double> &future : engine.submitAll(texts))
         future.get();
-    const uint64_t batches = engine.stats().batches;
-    EXPECT_GE(batches, uint64_t(texts.size() + 7) / 8);
+    EXPECT_GE(engine.stats().batches.load(), 3u);
 }
 
 TEST(AsyncEngine, ShutdownDrainsPendingFutures)
