@@ -311,14 +311,27 @@ DiffTune::tableEpochs(RawTable &raw, BatchRunner &runner, nn::Adam &adam,
                       double &best_err)
 {
     const auto &train = dataset_.train();
+    // The surrogate stays frozen for the whole call (refineSurrogate
+    // runs between calls), so each train block's token-level hiddens
+    // are computed once here and enter every sample as graph inputs:
+    // the same values forward() would recompute, hence the same bits.
+    std::vector<std::vector<nn::Tensor>> inst_hiddens(train.size());
+    parallelFor(train.size(), config_.workers, [&](size_t i) {
+        inst_hiddens[i] =
+            model_->instHiddens(encoded_[train[i].blockIdx]);
+    });
     auto sample_body = [&](size_t idx, nn::Graph &graph,
                            nn::Grads &grads) {
         const auto &entry = train[idx];
         const auto &block = dataset_.block(entry);
         auto inputs = raw.paramInputs(graph, block, &grads);
         nn::Ctx ctx{graph, model_->params(), nullptr};
-        nn::Var pred = graph.exp(
-            model_->forward(ctx, encoded_[entry.blockIdx], inputs));
+        std::vector<nn::Var> inst_vecs;
+        inst_vecs.reserve(inst_hiddens[idx].size());
+        for (const nn::Tensor &hidden : inst_hiddens[idx])
+            inst_vecs.push_back(graph.input(hidden));
+        nn::Var pred =
+            graph.exp(model_->blockForward(ctx, inst_vecs, inputs));
         nn::Var loss_var = graph.lossMape(pred, entry.timing, 0.05);
         graph.backward(loss_var);
         return graph.scalarValue(loss_var);

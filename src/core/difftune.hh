@@ -50,6 +50,11 @@ struct DiffTuneConfig
      * Total epochs over D when training the table. The paper uses 1
      * epoch over a 230k-block train set (~900 Adam steps); smaller
      * datasets need proportionally more epochs to take as many steps.
+     *
+     * The epochs are split evenly over refineRounds + 1 segments, so
+     * the count is rounded down to a multiple of refineRounds + 1
+     * (at least one epoch per segment): standardConfig's 20 epochs
+     * with 2 refinement rounds at scale 0.1 run 18.
      */
     int tableEpochs = 60;
     int batchSize = 256;        ///< paper: 256
@@ -79,7 +84,9 @@ struct DiffTuneConfig
      * Every this many table epochs, extract the table, evaluate it
      * with the real simulator on the validation split, and keep the
      * best snapshot (standard validation-based model selection;
-     * evaluations are charged to the simulator budget).
+     * evaluations are charged to the simulator budget). Epochs are
+     * counted within a segment (see tableEpochs), and the last epoch
+     * of every segment also takes a snapshot.
      */
     int snapshotEvery = 10;
 
@@ -168,7 +175,11 @@ class DiffTune
     /** Evaluate an extracted candidate on the validation split. */
     double validError(const params::ParamTable &candidate);
 
-    /** Inner loop of trainTable: @p epochs epochs of Adam. */
+    /**
+     * Inner loop of trainTable: one segment of @p epochs epochs of
+     * Adam. The surrogate is frozen for the whole call, so each train
+     * block's token-level hiddens are computed once up front.
+     */
     void tableEpochs(class RawTable &raw, class BatchRunner &runner,
                      nn::Adam &adam, int epochs,
                      params::ParamTable &best, double &best_err);

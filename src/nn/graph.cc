@@ -195,6 +195,7 @@ Graph::clear()
     paramCache_.clear();
     extraVars_.clear();
     extraData_.clear();
+    deferred_.clear();
     varena_.reset();
     garena_.reset();
 }
@@ -620,7 +621,9 @@ Graph::linear(Var w, Var x, Var b, Act act)
              bn.rows);
     const bool needs =
         wn.requiresGrad || xn.requiresGrad || bn.requiresGrad;
-    Var v = pushNode(Op::Linear, wn.rows, 1, needs);
+    // aux: the backward dz, kept for a deferred weight gradient.
+    Var v = pushNode(Op::Linear, wn.rows, 1, needs,
+                     needs ? size_t(wn.rows) : 0);
     Node &n = node(v);
     n.a = w.id;
     n.b = x.id;
@@ -831,41 +834,129 @@ namespace
 {
 
 /**
- * dW[i,:] += dz_i * x^T and dx += W^T dz, in reference order (rows
+ * out[k] += v(r)[k] * d(r) for r = 0 .. count-1 in order, the
+ * d(r) == 0 terms skipped, for every k < cols. Each kChunk-wide
+ * slice of out is loaded once, accumulates every term in a register
+ * block, and is stored once. Per element that is the same sequence
+ * of multiplies and adds as one pass over out per term, so the bits
+ * match.
+ */
+template <typename Scale, typename Row>
+inline void
+accumulateRows(double *__restrict out, int cols, size_t count,
+               const Scale &d, const Row &v)
+{
+    constexpr int kChunk = 16;
+    int k0 = 0;
+    for (; k0 + kChunk <= cols; k0 += kChunk) {
+        double acc[kChunk];
+        for (int j = 0; j < kChunk; ++j)
+            acc[j] = out[k0 + j];
+        for (size_t r = 0; r < count; ++r) {
+            const double dr = d(r);
+            if (dr == 0.0)
+                continue;
+            const double *vr = v(r) + k0;
+            for (int j = 0; j < kChunk; ++j)
+                acc[j] += vr[j] * dr;
+        }
+        for (int j = 0; j < kChunk; ++j)
+            out[k0 + j] = acc[j];
+    }
+    for (; k0 < cols; ++k0) {
+        double acc = out[k0];
+        for (size_t r = 0; r < count; ++r) {
+            const double dr = d(r);
+            if (dr == 0.0)
+                continue;
+            acc += v(r)[k0] * dr;
+        }
+        out[k0] = acc;
+    }
+}
+
+/*
+ * The two halves of a matvec backward, in reference order (rows
  * ascending, the dz_i == 0 rows skipped exactly as the primitive
  * matmul backward does). The __restrict qualifiers are sound —
  * values and gradients live in separate arenas — and let the
  * elementwise update loops vectorize.
  */
+
+/** dW[i,:] += dz_i * x^T. */
 inline void
-matvecBackward(const double *__restrict wv, double *__restrict wgrad,
-               bool w_live, const double *__restrict xv,
-               double *__restrict xgrad, bool x_live, int rows,
-               int cols, const double *__restrict dz)
+matvecWeightGrad(double *__restrict wgrad, const double *__restrict xv,
+                 const double *__restrict dz, int rows, int cols)
 {
-    if (w_live) {
-        for (int i = 0; i < rows; ++i) {
-            const double dci = dz[i];
-            if (dci == 0.0)
-                continue;
-            double *wrow = wgrad + size_t(i) * cols;
-            for (int k = 0; k < cols; ++k)
-                wrow[k] += dci * xv[k];
-        }
-    }
-    if (x_live) {
-        for (int i = 0; i < rows; ++i) {
-            const double dci = dz[i];
-            if (dci == 0.0)
-                continue;
-            const double *wrow = wv + size_t(i) * cols;
-            for (int k = 0; k < cols; ++k)
-                xgrad[k] += wrow[k] * dci;
-        }
+    for (int i = 0; i < rows; ++i) {
+        const double dci = dz[i];
+        if (dci == 0.0)
+            continue;
+        double *wrow = wgrad + size_t(i) * cols;
+        for (int k = 0; k < cols; ++k)
+            wrow[k] += dci * xv[k];
     }
 }
 
+/** dx += W^T dz: the rows of W are the terms. */
+inline void
+matvecInputGrad(const double *__restrict wv, double *__restrict xgrad,
+                const double *__restrict dz, int rows, int cols)
+{
+    accumulateRows(
+        xgrad, cols, size_t(rows), [&](size_t i) { return dz[i]; },
+        [&](size_t i) { return wv + i * size_t(cols); });
+}
+
 } // namespace
+
+Graph::Node &
+Graph::operand(int32_t id)
+{
+    Node &o = nodes_[size_t(id)];
+    if (o.deferHead >= 0)
+        flushDeferred(o);
+    return o;
+}
+
+bool
+Graph::deferWeightGrad(Node &wn, bool alone, const double *dz,
+                       const double *x)
+{
+    if (!alone || wn.op != Op::Param) {
+        flushDeferred(wn);
+        return false;
+    }
+    wn.gradLive = true;
+    const int32_t rec = int32_t(deferred_.size());
+    deferred_.push_back(Deferred{dz, x, -1});
+    if (wn.deferTail >= 0)
+        deferred_[size_t(wn.deferTail)].next = rec;
+    else
+        wn.deferHead = rec;
+    wn.deferTail = rec;
+    return true;
+}
+
+void
+Graph::flushDeferred(Node &leaf)
+{
+    if (leaf.deferHead < 0)
+        return;
+    flushing_.clear();
+    for (int32_t r = leaf.deferHead; r >= 0;
+         r = deferred_[size_t(r)].next)
+        flushing_.push_back(deferred_[size_t(r)]);
+    leaf.deferHead = leaf.deferTail = -1;
+    // matvecWeightGrad once per record, in one pass: gradient row i
+    // accumulates every record's x * dz[i].
+    const Deferred *recs = flushing_.data();
+    for (int i = 0; i < leaf.rows; ++i)
+        accumulateRows(
+            leaf.grad + size_t(i) * leaf.cols, leaf.cols,
+            flushing_.size(), [&](size_t r) { return recs[r].dz[i]; },
+            [&](size_t r) { return recs[r].x; });
+}
 
 void
 Graph::backwardNode(Node &n)
@@ -877,6 +968,7 @@ Graph::backwardNode(Node &n)
         break;
 
     case Op::Param: {
+        flushDeferred(n);
         Tensor &t = (*n.sink)[n.i0];
         for (size_t i = 0; i < count; ++i)
             t.data[i] += g[i];
@@ -891,8 +983,11 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Matmul: {
-        Node &an = nodes_[n.a];
-        Node &bn = nodes_[n.b];
+        // Only the column-vector fast path defers its weight's outer
+        // products; every other path uses both operands in full.
+        const bool fast = n.cols == 1 && n.a != n.b && !refKernels_;
+        Node &an = fast ? nodes_[n.a] : operand(n.a);
+        Node &bn = operand(n.b);
         const int m = n.rows, k = an.cols, cols = n.cols;
         if (cols == 1 && n.a == n.b) {
             // matmul(a, a): both gradients land in one buffer, which
@@ -921,10 +1016,10 @@ Graph::backwardNode(Node &n)
                               bn.requiresGrad ? bn.grad : nullptr, m,
                               k, g);
         } else if (cols == 1) {
-            matvecBackward(an.val, an.requiresGrad ? an.grad : nullptr,
-                           an.requiresGrad, bn.val,
-                           bn.requiresGrad ? bn.grad : nullptr,
-                           bn.requiresGrad, m, k, g);
+            if (an.requiresGrad && !deferWeightGrad(an, true, g, bn.val))
+                matvecWeightGrad(an.grad, bn.val, g, m, k);
+            if (bn.requiresGrad)
+                matvecInputGrad(an.val, bn.grad, g, m, k);
         } else {
             if (an.requiresGrad) {
                 // dA += dC * B^T
@@ -957,8 +1052,8 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Add: {
-        Node &an = nodes_[n.a];
-        Node &bn = nodes_[n.b];
+        Node &an = operand(n.a);
+        Node &bn = operand(n.b);
         if (an.requiresGrad) {
             an.gradLive = true;
             for (size_t i = 0; i < count; ++i)
@@ -973,8 +1068,8 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Sub: {
-        Node &an = nodes_[n.a];
-        Node &bn = nodes_[n.b];
+        Node &an = operand(n.a);
+        Node &bn = operand(n.b);
         if (an.requiresGrad) {
             an.gradLive = true;
             for (size_t i = 0; i < count; ++i)
@@ -989,8 +1084,8 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Mul: {
-        Node &an = nodes_[n.a];
-        Node &bn = nodes_[n.b];
+        Node &an = operand(n.a);
+        Node &bn = operand(n.b);
         if (an.requiresGrad) {
             an.gradLive = true;
             for (size_t i = 0; i < count; ++i)
@@ -1005,7 +1100,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Scale: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1015,7 +1110,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::ScaleVec: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1026,7 +1121,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Sigmoid: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1038,7 +1133,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Tanh: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1050,7 +1145,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Relu: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1061,7 +1156,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Abs: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1073,7 +1168,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Exp: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1086,7 +1181,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Slice: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1098,7 +1193,7 @@ Graph::backwardNode(Node &n)
     case Op::Concat: {
         int offset = 0;
         for (int32_t p = 0; p < n.i0; ++p) {
-            Node &pn = nodes_[extraVars_[size_t(n.extra) + p]];
+            Node &pn = operand(extraVars_[size_t(n.extra) + p]);
             if (pn.requiresGrad) {
                 pn.gradLive = true;
                 for (int r = 0; r < pn.rows; ++r)
@@ -1111,9 +1206,14 @@ Graph::backwardNode(Node &n)
 
     case Op::Linear: {
         Node &wn = nodes_[n.a];
-        Node &xn = nodes_[n.b];
-        Node &bn = nodes_[n.c];
+        Node &xn = operand(n.b);
+        Node &bn = operand(n.c);
         const int out = n.rows, in = xn.rows;
+        // A deferred weight gradient reads dz from aux once the loop
+        // below has filled it.
+        const bool defer_w =
+            wn.requiresGrad && deferWeightGrad(wn, n.a != n.b && n.a != n.c,
+                                               n.aux, xn.val);
         // dz_i = dy_i * act'(y_i); the composition order matches the
         // primitive act-then-add-then-matmul backward chain.
         for (int i = 0; i < out; ++i) {
@@ -1135,9 +1235,10 @@ Graph::backwardNode(Node &n)
             }
             if (bn.requiresGrad)
                 bn.grad[i] += dz;
+            n.aux[i] = dz;
             if (dz == 0.0)
                 continue;
-            if (wn.requiresGrad) {
+            if (wn.requiresGrad && !defer_w) {
                 double *wrow = wn.grad + size_t(i) * in;
                 for (int k = 0; k < in; ++k)
                     wrow[k] += dz * xn.val[k];
@@ -1158,12 +1259,19 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::LstmCell: {
+        const int32_t *ops = extraVars_.data() + n.extra;
         Node &wxn = nodes_[n.a];
         Node &whn = nodes_[n.b];
-        Node &bn = nodes_[n.c];
-        Node &xn = nodes_[extraVars_[size_t(n.extra) + 0]];
-        Node &hn = nodes_[extraVars_[size_t(n.extra) + 1]];
-        Node &cn = nodes_[extraVars_[size_t(n.extra) + 2]];
+        Node &bn = operand(n.c);
+        Node &xn = operand(ops[0]);
+        Node &hn = operand(ops[1]);
+        Node &cn = operand(ops[2]);
+        // A weight that is also a non-weight operand of this node is
+        // applied in place (its writes must interleave as before).
+        const auto alone = [&](int32_t w) {
+            return w != n.c && w != ops[0] && w != ops[1] &&
+                   w != ops[2];
+        };
         const int hidden = n.i0;
         const int in = xn.rows;
         const double *gates = n.aux;
@@ -1198,14 +1306,16 @@ Graph::backwardNode(Node &n)
         }
         // Reference order: the Wh*h matmul backward runs before the
         // Wx*x one (it sits later on the tape).
-        matvecBackward(whn.val, whn.requiresGrad ? whn.grad : nullptr,
-                       whn.requiresGrad, hn.val,
-                       hn.requiresGrad ? hn.grad : nullptr,
-                       hn.requiresGrad, 4 * hidden, hidden, dz);
-        matvecBackward(wxn.val, wxn.requiresGrad ? wxn.grad : nullptr,
-                       wxn.requiresGrad, xn.val,
-                       xn.requiresGrad ? xn.grad : nullptr,
-                       xn.requiresGrad, 4 * hidden, in, dz);
+        if (whn.requiresGrad &&
+            !deferWeightGrad(whn, alone(n.b), dz, hn.val))
+            matvecWeightGrad(whn.grad, hn.val, dz, 4 * hidden, hidden);
+        if (hn.requiresGrad)
+            matvecInputGrad(whn.val, hn.grad, dz, 4 * hidden, hidden);
+        if (wxn.requiresGrad &&
+            !deferWeightGrad(wxn, alone(n.a), dz, xn.val))
+            matvecWeightGrad(wxn.grad, xn.val, dz, 4 * hidden, in);
+        if (xn.requiresGrad)
+            matvecInputGrad(wxn.val, xn.grad, dz, 4 * hidden, in);
         if (wxn.requiresGrad)
             wxn.gradLive = true;
         if (whn.requiresGrad)
@@ -1222,8 +1332,8 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::Dot: {
-        Node &an = nodes_[n.a];
-        Node &bn = nodes_[n.b];
+        Node &an = operand(n.a);
+        Node &bn = operand(n.b);
         const double g0 = g[0];
         if (an.requiresGrad) {
             an.gradLive = true;
@@ -1239,7 +1349,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::SoftClamp: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1257,7 +1367,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::LossMape: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1268,7 +1378,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::LossMae: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1279,7 +1389,7 @@ Graph::backwardNode(Node &n)
     }
 
     case Op::LossMse: {
-        Node &an = nodes_[n.a];
+        Node &an = operand(n.a);
         if (!an.requiresGrad)
             break;
         an.gradLive = true;
@@ -1299,8 +1409,11 @@ Graph::backward(Var loss, double seed)
     if (!ln.requiresGrad)
         return;
     garena_.zeroUsed();
-    for (Node &n : nodes_)
+    deferred_.clear();
+    for (Node &n : nodes_) {
         n.gradLive = false;
+        n.deferHead = n.deferTail = -1;
+    }
     ln.grad[0] = seed;
     ln.gradLive = true;
     for (int32_t id = loss.id; id >= 0; --id) {

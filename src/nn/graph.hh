@@ -34,6 +34,24 @@
  * current tape from scratch; parameter gradients still *accumulate*
  * into the caller's Grads sinks.
  *
+ * # Deferred weight gradients
+ *
+ * A matvec consumer (lstmStep's Wx/Wh, linear's W, a column-vector
+ * matmul's left operand) whose weight is a trainable param() leaf
+ * does not apply its outer product dW += dz x^T during the sweep.
+ * It records the (dz, x) pointer pair instead — both buffers stay put
+ * in the arenas until clear() — and the sweep applies every record
+ * of the leaf at once when it reaches the leaf itself, which the
+ * tape order guarantees comes after all its consumers. The flush
+ * holds a row chunk of the gradient in registers across the records,
+ * so an LSTM weight gradient is read and written once per sweep
+ * instead of once per step. Every element receives the same
+ * additions in the same order as the immediate update (the dz_i == 0
+ * rows skipped alike), so results are bit-identical. Any other use
+ * of the leaf in the sweep flushes its pending records first, so
+ * non-matvec consumers still see the reference order. The record
+ * lists keep their capacity across clear(), like the arenas.
+ *
  * # Fused ops
  *
  * The dominant multi-node patterns have single-node fused forms with
@@ -336,6 +354,16 @@ class Graph
         return varena_.usedDoubles() + garena_.usedDoubles();
     }
 
+    /** Outer products deferred by the last backward() (stats). */
+    size_t deferredRecords() const { return deferred_.size(); }
+
+    /** Capacity of the deferral record lists (stats). */
+    size_t
+    deferredCapacity() const
+    {
+        return deferred_.capacity() + flushing_.capacity();
+    }
+
   private:
     enum class Op : uint8_t
     {
@@ -386,6 +414,16 @@ class Graph
         int32_t i0 = 0, i1 = 0; ///< small int payload
         double c0 = 0.0, c1 = 0.0; ///< small double payload
         Grads *sink = nullptr; ///< Param/ParamRow gradient sink
+        /** Param: first / last pending deferred record, or -1. */
+        int32_t deferHead = -1, deferTail = -1;
+    };
+
+    /** One deferred outer product dW += dz x^T of a Param leaf. */
+    struct Deferred
+    {
+        const double *dz;
+        const double *x;
+        int32_t next; ///< the leaf's next record, or -1
     };
 
     Node &node(Var v) { return nodes_[size_t(v.id)]; }
@@ -408,6 +446,24 @@ class Graph
 
     void backwardNode(Node &n);
 
+    /**
+     * An operand of the node being swept, for any use other than a
+     * deferrable weight slot: its pending records are flushed first.
+     */
+    Node &operand(int32_t id);
+
+    /**
+     * Record the weight half of a matvec backward, dW += dz x^T, for
+     * the trainable weight @p wn if it is a Param leaf and no other
+     * operand of the same node (@p alone). Otherwise flush @p wn and
+     * return false: the caller applies the update itself.
+     */
+    bool deferWeightGrad(Node &wn, bool alone, const double *dz,
+                         const double *x);
+
+    /** Apply and drop every pending record of Param leaf @p leaf. */
+    void flushDeferred(Node &leaf);
+
     std::vector<Node> nodes_;
     /** (param-set address ^ index ^ row) -> node cache. */
     std::vector<std::pair<uint64_t, Var>> paramCache_;
@@ -415,6 +471,10 @@ class Graph
     std::vector<int32_t> extraVars_;
     /** Per-op constant vectors (scaleByVec / soft-clamp scales). */
     std::vector<double> extraData_;
+    /** Deferred outer products of this sweep (see file comment). */
+    std::vector<Deferred> deferred_;
+    /** flushDeferred()'s gathered records of one leaf, reused. */
+    std::vector<Deferred> flushing_;
     DoubleArena varena_; ///< values + fused-op aux
     DoubleArena garena_; ///< gradients (zeroed per backward())
     bool refKernels_ = false; ///< see setReferenceKernels()

@@ -73,27 +73,59 @@ nn::Var
 Model::forward(nn::Ctx &ctx, const EncodedBlock &block,
                const std::vector<nn::Var> &inst_params) const
 {
-    panic_if(block.empty(), "surrogate forward on an empty block");
-    panic_if(config_.paramDim == 0 ? !inst_params.empty()
-                                   : inst_params.size() != block.size(),
-             "got {} parameter vectors for {} instructions "
-             "(paramDim {})",
-             inst_params.size(), block.size(), config_.paramDim);
+    return blockForward(ctx, instVectors(ctx, block), inst_params);
+}
 
+std::vector<nn::Var>
+Model::instVectors(nn::Ctx &ctx, const EncodedBlock &block) const
+{
     std::vector<nn::Var> inst_vecs;
     inst_vecs.reserve(block.size());
-    for (size_t i = 0; i < block.size(); ++i) {
-        std::vector<nn::Var> token_vecs;
-        token_vecs.reserve(block[i].size());
-        for (isa::TokenId token : block[i])
+    std::vector<nn::Var> token_vecs;
+    for (const std::vector<isa::TokenId> &tokens : block) {
+        token_vecs.clear();
+        for (isa::TokenId token : tokens)
             token_vecs.push_back(embed_->forward(ctx, int(token)));
-        nn::Var inst_vec = tokenLstm_->runSequence(ctx, token_vecs);
-        if (config_.paramDim > 0)
-            inst_vec = ctx.graph.concat({inst_vec, inst_params[i]});
-        inst_vecs.push_back(inst_vec);
+        inst_vecs.push_back(tokenLstm_->runSequence(ctx, token_vecs));
     }
-    nn::Var block_vec = blockLstm_->runSequence(ctx, inst_vecs);
-    return head_->forward(ctx, block_vec);
+    return inst_vecs;
+}
+
+nn::Var
+Model::blockForward(nn::Ctx &ctx, const std::vector<nn::Var> &inst_vecs,
+                    const std::vector<nn::Var> &inst_params) const
+{
+    panic_if(inst_vecs.empty(), "surrogate forward on an empty block");
+    panic_if(config_.paramDim == 0
+                 ? !inst_params.empty()
+                 : inst_params.size() != inst_vecs.size(),
+             "got {} parameter vectors for {} instructions "
+             "(paramDim {})",
+             inst_params.size(), inst_vecs.size(), config_.paramDim);
+
+    std::vector<nn::Var> block_in = inst_vecs;
+    if (config_.paramDim > 0) {
+        for (size_t i = 0; i < block_in.size(); ++i)
+            block_in[i] = ctx.graph.concat({inst_vecs[i], inst_params[i]});
+    }
+    return head_->forward(ctx, blockLstm_->runSequence(ctx, block_in));
+}
+
+std::vector<nn::Tensor>
+Model::instHiddens(const EncodedBlock &block) const
+{
+    // One reusable graph per thread, as in predict().
+    static thread_local nn::Graph graph;
+    graph.clear();
+    nn::Ctx ctx{graph, params_, nullptr};
+    std::vector<nn::Tensor> hiddens;
+    hiddens.reserve(block.size());
+    for (nn::Var v : instVectors(ctx, block)) {
+        const nn::TensorView view = graph.value(v);
+        nn::Tensor &hidden = hiddens.emplace_back(view.rows, view.cols);
+        std::copy(view.data, view.data + view.size(), hidden.data.begin());
+    }
+    return hiddens;
 }
 
 void

@@ -114,6 +114,29 @@ class Model
     nn::Var forward(nn::Ctx &ctx, const EncodedBlock &block,
                     const std::vector<nn::Var> &inst_params) const;
 
+    /**
+     * The block half of forward(): appends each instruction's
+     * parameter column to its instruction vector, then runs the
+     * block-level LSTM and the head. forward() is instVectors()
+     * followed by this, so a caller that feeds frozen instruction
+     * hiddens back in as graph inputs (see instHiddens()) gets
+     * forward()'s bits.
+     *
+     * @param inst_vecs one (hidden x 1) Var per instruction
+     * @param inst_params as for forward()
+     */
+    nn::Var blockForward(nn::Ctx &ctx,
+                         const std::vector<nn::Var> &inst_vecs,
+                         const std::vector<nn::Var> &inst_params) const;
+
+    /**
+     * instVectors() values under the current weights, one
+     * (hidden x 1) tensor per instruction. With the weights frozen
+     * they are a pure function of the block, so phase 4 of DiffTune
+     * computes them once per table-training segment.
+     */
+    std::vector<nn::Tensor> instHiddens(const EncodedBlock &block) const;
+
     /** Inference without parameter inputs (Ithemal mode). */
     double predict(const EncodedBlock &block) const;
 
@@ -165,6 +188,13 @@ class Model
     const nn::ParamSet &params() const { return params_; }
 
   private:
+    /**
+     * The instruction half of forward(): each instruction's
+     * token-level LSTM output, one (hidden x 1) Var per instruction.
+     */
+    std::vector<nn::Var> instVectors(nn::Ctx &ctx,
+                                     const EncodedBlock &block) const;
+
     ModelConfig config_;
     nn::ParamSet params_;
     std::unique_ptr<nn::Embedding> embed_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/difftune.hh"
 #include "core/evaluate.hh"
@@ -237,6 +238,55 @@ TEST(DiffTune, MiniPipelineImprovesOverRandom)
         EXPECT_GE(flat[i], bounds[i]);
         EXPECT_EQ(flat[i], std::round(flat[i]));
     }
+}
+
+/** FNV-1a over @p bytes. */
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+TEST(DiffTune, SingleWorkerOutputBitsArePinned)
+{
+    // The mini pipeline on one worker, so the gradient reductions
+    // have one shape on every host. The constants lock the training
+    // arithmetic: a speed-up of phases 3 and 4 must leave the
+    // surrogate's final loss, the learned table and the refined
+    // surrogate weights bit-identical. The weights are the sensitive
+    // lock: Adam absorbs most last-ulp gradient changes, so the loss
+    // and the extracted integer table alone can miss a reordered
+    // gradient sum.
+    DiffTuneConfig cfg;
+    cfg.model.hidden = 16;
+    cfg.model.embedDim = 12;
+    cfg.model.tokenLayers = 1;
+    cfg.model.blockLayers = 1;
+    cfg.simulatedMultiple = 3;
+    cfg.surrogateLoops = 3;
+    cfg.tableEpochs = 12;
+    cfg.refineRounds = 1;
+    cfg.snapshotEvery = 4;
+    cfg.workers = 1;
+    cfg.seed = 3;
+
+    mca::XMca sim;
+    DiffTune difftune(sim, testDataset(),
+                      hw::defaultTable(hw::Uarch::Haswell), cfg);
+    const DiffTuneResult result = difftune.run();
+
+    uint64_t loss_bits = 0;
+    std::memcpy(&loss_bits, &result.surrogateFinalLoss,
+                sizeof(loss_bits));
+    EXPECT_EQ(loss_bits, 0x3fe9173871f44c57ULL);
+    EXPECT_EQ(fnv1a(result.learned.save()), 0x41f4107e7da184bfULL);
+    EXPECT_EQ(fnv1a(difftune.model().params().save()),
+              0xcc91bfaf1c120d8bULL);
 }
 
 TEST(DiffTune, MaskedRunKeepsBaseParams)

@@ -8,9 +8,11 @@
  * asserted bit-identical (values and accumulated parameter
  * gradients) to the primitive compositions they replace, and the
  * frozen reference kernels (nn/ref_kernels.cc) bit-identical to the
- * optimized ones. A final set of tests locks the arena lifecycle:
- * clear() + same-shape rebuild reuses storage without growth and
- * reproduces identical bits.
+ * optimized ones, including the deferred weight-gradient outer
+ * products against the reference kernels' immediate updates. A
+ * final set of tests locks the arena lifecycle: clear() + same-shape
+ * rebuild reuses storage without growth and reproduces identical
+ * bits.
  *
  * To add an op: give it a gradcheck here over randomized shapes
  * (including size-1 edges) and, if it fuses a primitive
@@ -332,24 +334,35 @@ TEST(GradCheckFused, ScaledSoftClamp)
 /**
  * Build @p body twice — fused and unfused — with fresh Grads each,
  * backward from the same loss construction, and assert the loss
- * value and every accumulated gradient are bit-identical.
+ * value and every accumulated gradient are bit-identical. With
+ * @p reference_kernels the unfused pass runs the frozen reference
+ * kernels, which apply every weight gradient immediately, so it is
+ * the undeferred baseline, and @p deferred (if given) receives the
+ * number of outer products the fused pass deferred.
  */
 void
 checkFusedUnfusedBits(
     ParamSet &params,
-    const std::function<Var(Graph &, Ctx &)> &body)
+    const std::function<Var(Graph &, Ctx &)> &body,
+    bool reference_kernels = false, size_t *deferred = nullptr)
 {
     double loss_val[2];
     std::vector<std::vector<double>> grad_bits[2];
     for (int pass = 0; pass < 2; ++pass) {
         Grads grads(params);
         Graph g;
+        g.setReferenceKernels(reference_kernels && pass == 1);
         Ctx ctx{g, params, &grads, /*fuse=*/pass == 0};
         Var loss = body(g, ctx);
         g.backward(loss);
         loss_val[pass] = g.scalarValue(loss);
         for (size_t p = 0; p < grads.count(); ++p)
             grad_bits[pass].push_back(grads[int(p)].data);
+        if (pass == 0 && deferred) {
+            *deferred = g.deferredRecords();
+        } else if (pass == 1 && reference_kernels) {
+            EXPECT_EQ(g.deferredRecords(), 0u);
+        }
     }
     EXPECT_EQ(bits(loss_val[0]), bits(loss_val[1]));
     ASSERT_EQ(grad_bits[0].size(), grad_bits[1].size());
@@ -462,6 +475,75 @@ TEST(FusedEquivalence, ReferenceKernelsMatchOptimized)
     EXPECT_EQ(xg[0], xg[1]);
 }
 
+// ------------------------------- deferred weight gradients
+
+TEST(DeferredWeightGrad, LeafSharedByManyLstmSteps)
+{
+    // Widths above and below the flush's 16-column register chunk.
+    Rng rng(116);
+    ParamSet params;
+    LstmCell cell(params, 20, 17, rng);
+    constexpr int steps = 24;
+    size_t deferred = 0;
+    checkFusedUnfusedBits(
+        params,
+        [&](Graph &g, Ctx &ctx) {
+            auto s = cell.initial(ctx);
+            Rng data_rng(59);
+            for (int t = 0; t < steps; ++t) {
+                Tensor xv(20, 1);
+                xv.uniformInit(data_rng, 1.0);
+                s = cell.step(ctx, g.input(xv), s);
+            }
+            Rng probe_rng(61);
+            return probeLoss(g, s.h, probe_rng);
+        },
+        /*reference_kernels=*/true, &deferred);
+    EXPECT_EQ(deferred, size_t(2 * steps)); // Wx and Wh per step
+}
+
+TEST(DeferredWeightGrad, LeafAlsoUsedElementwise)
+{
+    Rng rng(117);
+    ParamSet params;
+    const int w = params.add(18, 18);
+    const int b = params.add(18, 1);
+    const int v = params.add(18, 1);
+    params[w].uniformInit(rng, 0.5);
+    params[b].uniformInit(rng, 0.5);
+    params[v].uniformInit(rng, 0.5);
+    size_t deferred = 0;
+    checkFusedUnfusedBits(
+        params,
+        [&](Graph &g, Ctx &ctx) {
+            Var wv = g.param(ctx.params, w, ctx.sink);
+            Var bv = g.param(ctx.params, b, ctx.sink);
+            Var vv = g.param(ctx.params, v, ctx.sink);
+            Tensor xt(18, 1);
+            Rng data_rng(67);
+            xt.uniformInit(data_rng, 1.0);
+            Var x = g.input(xt);
+            auto linear = [&](Var wt, Var in, Var bias) {
+                return ctx.fuse ? g.linear(wt, in, bias)
+                                : g.add(g.matmul(wt, in), bias);
+            };
+            // W is a matvec weight on both sides of an elementwise
+            // use, so the sweep reaches that use with a record
+            // pending and again leaves one for the leaf's flush.
+            Var y1 = linear(wv, x, bv);
+            Var mixed = g.mul(wv, g.tanh(wv));
+            Var y2 = g.matmul(wv, y1);
+            Var y3 = g.matmul(mixed, y2);
+            // v is both the weight and the bias of one linear node
+            // (in = 1), which must not be deferred.
+            Var y4 = linear(vv, g.inputScalar(0.7), vv);
+            Rng probe_rng(71);
+            return probeLoss(g, g.add(g.add(y3, y2), y4), probe_rng);
+        },
+        /*reference_kernels=*/true, &deferred);
+    EXPECT_EQ(deferred, 2u); // the y1 and y2 records of W
+}
+
 // --------------------------------------------- arena lifecycle
 
 TEST(ArenaTape, ClearRebuildReproducesBitsWithoutGrowth)
@@ -491,6 +573,9 @@ TEST(ArenaTape, ClearRebuildReproducesBitsWithoutGrowth)
     const double first = run();
     const size_t nodes = g.numNodes();
     const size_t doubles = g.arenaDoubles();
+    const size_t records = g.deferredRecords();
+    const size_t record_capacity = g.deferredCapacity();
+    EXPECT_GT(records, 0u);
     std::vector<double> first_grads = grads[0].data;
     for (int iter = 0; iter < 5; ++iter) {
         const double again = run();
@@ -499,6 +584,9 @@ TEST(ArenaTape, ClearRebuildReproducesBitsWithoutGrowth)
         // mark must not creep.
         EXPECT_EQ(g.numNodes(), nodes);
         EXPECT_EQ(g.arenaDoubles(), doubles);
+        // Nor may the deferral record lists.
+        EXPECT_EQ(g.deferredRecords(), records);
+        EXPECT_EQ(g.deferredCapacity(), record_capacity);
         EXPECT_EQ(grads[0].data, first_grads);
     }
 }

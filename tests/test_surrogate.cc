@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "bhive/corpus.hh"
 #include "core/trainer.hh"
 #include "isa/parse.hh"
 #include "nn/optim.hh"
@@ -68,6 +71,59 @@ TEST(Model, ForwardChecksParamCount)
     nn::Graph g;
     nn::Ctx ctx{g, model.params(), nullptr};
     EXPECT_DEATH(model.forward(ctx, block, {}), "parameter vectors");
+}
+
+uint64_t
+bits(double v)
+{
+    uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
+TEST(Model, SplitForwardMatchesForwardBitExactly)
+{
+    // DiffTune's phase-4 path: frozen weights, the token-level
+    // hiddens fed back in as graph inputs, gradients taken with
+    // respect to the parameter columns only.
+    constexpr int param_dim = 3;
+    Model model(tinyConfig(param_dim), isa::theVocab().size());
+    const bhive::Corpus corpus = bhive::Corpus::generate(120, 21);
+    ASSERT_GT(corpus.size(), 0u);
+    Rng rng(23);
+    for (size_t b = 0; b < corpus.size(); ++b) {
+        const EncodedBlock block = encodeBlock(corpus[b].block);
+        nn::ParamSet columns;
+        for (size_t i = 0; i < block.size(); ++i)
+            columns[columns.add(param_dim, 1)].uniformInit(rng, 1.0);
+
+        uint64_t head_bits[2];
+        std::vector<uint64_t> grad_bits[2];
+        for (int path = 0; path < 2; ++path) {
+            nn::Graph g;
+            nn::Grads grads(columns);
+            std::vector<nn::Var> inputs;
+            for (size_t i = 0; i < block.size(); ++i)
+                inputs.push_back(g.param(columns, int(i), &grads));
+            nn::Ctx ctx{g, model.params(), nullptr};
+            nn::Var head;
+            if (path == 0) {
+                head = model.forward(ctx, block, inputs);
+            } else {
+                std::vector<nn::Var> inst_vecs;
+                for (const nn::Tensor &hidden : model.instHiddens(block))
+                    inst_vecs.push_back(g.input(hidden));
+                head = model.blockForward(ctx, inst_vecs, inputs);
+            }
+            g.backward(g.lossMape(g.exp(head), 2.0, 0.05));
+            head_bits[path] = bits(g.scalarValue(head));
+            for (size_t i = 0; i < grads.count(); ++i)
+                for (double v : grads[int(i)].data)
+                    grad_bits[path].push_back(bits(v));
+        }
+        EXPECT_EQ(head_bits[0], head_bits[1]) << "block " << b;
+        EXPECT_EQ(grad_bits[0], grad_bits[1]) << "block " << b;
+    }
 }
 
 TEST(Model, SeedControlsInitialization)
