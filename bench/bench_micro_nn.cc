@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the neural substrate: matvec,
- * LSTM step, full surrogate forward and forward+backward. These
+ * the two backward kernels, LSTM step, full surrogate forward and
+ * forward+backward. These
  * document the per-sample training cost behind the Table IV
  * pipelines.
  *
@@ -30,6 +31,7 @@
 
 #include "isa/parse.hh"
 #include "nn/batched.hh"
+#include "nn/matvec_dispatch.hh"
 #include "nn/modules.hh"
 #include "surrogate/model.hh"
 
@@ -76,6 +78,85 @@ BM_LstmStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LstmStep)->Arg(32)->Arg(64);
+
+/**
+ * Computed from the shape, not counted: one multiply and one add per
+ * weight element and term. Printed as a rate (G/s reads GFLOP/s) for
+ * a roofline reading next to the kernel's time.
+ */
+void
+setFlopRate(benchmark::State &state, double flops_per_call)
+{
+    state.counters["flops"] = benchmark::Counter(
+        flops_per_call * double(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+
+/** Uniform values in [-0.5, 0.5). */
+std::vector<double>
+benchValues(Rng &rng, size_t n)
+{
+    std::vector<double> v(n);
+    for (double &x : v)
+        x = rng.uniformReal() - 0.5;
+    return v;
+}
+
+/**
+ * dx += W^T dz through the selected backward kernel
+ * (nn/matvec_dispatch.hh) for a 256-row LSTM gate weight: the hidden
+ * width 64 and the block LSTM's 81-wide layer-0 input.
+ */
+void
+BM_InputGrad(benchmark::State &state)
+{
+    const int rows = 256, cols = int(state.range(0));
+    Rng rng(3);
+    const std::vector<double> w = benchValues(rng, size_t(rows) * cols);
+    const std::vector<double> dz = benchValues(rng, size_t(rows));
+    std::vector<double> xgrad(size_t(cols), 0.0);
+    const nn::MatvecKernels &k = nn::matvecKernels();
+    for (auto _ : state) {
+        k.inputGradF64(w.data(), dz.data(), xgrad.data(), rows, cols);
+        benchmark::DoNotOptimize(xgrad.data());
+        benchmark::ClobberMemory();
+    }
+    setFlopRate(state, 2.0 * rows * cols);
+}
+BENCHMARK(BM_InputGrad)->Arg(64)->Arg(81);
+
+/**
+ * The deferred weight-gradient flush: @c range(0) records
+ * (dz, x) applied to one 256 x 64 gradient through the selected
+ * outer-product kernel — a short and a long block's worth of LSTM
+ * steps.
+ */
+void
+BM_WeightGradFlush(benchmark::State &state)
+{
+    const int rows = 256, cols = 64;
+    const size_t records = size_t(state.range(0));
+    Rng rng(4);
+    std::vector<std::vector<double>> dzs, xs;
+    std::vector<const double *> dzp, xp;
+    for (size_t r = 0; r < records; ++r) {
+        dzs.push_back(benchValues(rng, size_t(rows)));
+        xs.push_back(benchValues(rng, size_t(cols)));
+    }
+    for (size_t r = 0; r < records; ++r) {
+        dzp.push_back(dzs[r].data());
+        xp.push_back(xs[r].data());
+    }
+    std::vector<double> grad(size_t(rows) * cols, 0.0);
+    const nn::MatvecKernels &k = nn::matvecKernels();
+    for (auto _ : state) {
+        k.outerF64(grad.data(), dzp.data(), xp.data(), records, rows, cols);
+        benchmark::DoNotOptimize(grad.data());
+        benchmark::ClobberMemory();
+    }
+    setFlopRate(state, 2.0 * rows * cols * double(records));
+}
+BENCHMARK(BM_WeightGradFlush)->Arg(8)->Arg(40);
 
 surrogate::Model &
 benchModel()

@@ -833,79 +833,28 @@ Graph::lossMse(Var pred, double target)
 namespace
 {
 
-/**
- * out[k] += v(r)[k] * d(r) for r = 0 .. count-1 in order, the
- * d(r) == 0 terms skipped, for every k < cols. Each kChunk-wide
- * slice of out is loaded once, accumulates every term in a register
- * block, and is stored once. Per element that is the same sequence
- * of multiplies and adds as one pass over out per term, so the bits
- * match.
- */
-template <typename Scale, typename Row>
-inline void
-accumulateRows(double *__restrict out, int cols, size_t count,
-               const Scale &d, const Row &v)
-{
-    constexpr int kChunk = 16;
-    int k0 = 0;
-    for (; k0 + kChunk <= cols; k0 += kChunk) {
-        double acc[kChunk];
-        for (int j = 0; j < kChunk; ++j)
-            acc[j] = out[k0 + j];
-        for (size_t r = 0; r < count; ++r) {
-            const double dr = d(r);
-            if (dr == 0.0)
-                continue;
-            const double *vr = v(r) + k0;
-            for (int j = 0; j < kChunk; ++j)
-                acc[j] += vr[j] * dr;
-        }
-        for (int j = 0; j < kChunk; ++j)
-            out[k0 + j] = acc[j];
-    }
-    for (; k0 < cols; ++k0) {
-        double acc = out[k0];
-        for (size_t r = 0; r < count; ++r) {
-            const double dr = d(r);
-            if (dr == 0.0)
-                continue;
-            acc += v(r)[k0] * dr;
-        }
-        out[k0] = acc;
-    }
-}
-
 /*
  * The two halves of a matvec backward, in reference order (rows
  * ascending, the dz_i == 0 rows skipped exactly as the primitive
- * matmul backward does). The __restrict qualifiers are sound —
- * values and gradients live in separate arenas — and let the
- * elementwise update loops vectorize.
+ * matmul backward does), through the selected kernels
+ * (nn/matvec_dispatch.hh). Values and gradients live in separate
+ * arenas, so the kernels' operands never alias.
  */
 
-/** dW[i,:] += dz_i * x^T. */
+/** dW[i,:] += dz_i * x^T: a one-record outer product. */
 inline void
-matvecWeightGrad(double *__restrict wgrad, const double *__restrict xv,
-                 const double *__restrict dz, int rows, int cols)
+matvecWeightGrad(double *wgrad, const double *xv, const double *dz,
+                 int rows, int cols)
 {
-    for (int i = 0; i < rows; ++i) {
-        const double dci = dz[i];
-        if (dci == 0.0)
-            continue;
-        double *wrow = wgrad + size_t(i) * cols;
-        for (int k = 0; k < cols; ++k)
-            wrow[k] += dci * xv[k];
-    }
+    matvecKernels().outerF64(wgrad, &dz, &xv, 1, rows, cols);
 }
 
 /** dx += W^T dz: the rows of W are the terms. */
 inline void
-matvecInputGrad(const double *__restrict wv, double *__restrict xgrad,
-                const double *__restrict dz, int rows, int cols)
+matvecInputGrad(const double *wv, double *xgrad, const double *dz,
+                int rows, int cols)
 {
-    accumulateRows(
-        xgrad, cols, size_t(rows), [&](size_t i) { return dz[i]; },
-        [&](size_t i) { return wv + i * size_t(cols); });
+    matvecKernels().inputGradF64(wv, dz, xgrad, rows, cols);
 }
 
 } // namespace
@@ -943,19 +892,18 @@ Graph::flushDeferred(Node &leaf)
 {
     if (leaf.deferHead < 0)
         return;
-    flushing_.clear();
+    flushDz_.clear();
+    flushX_.clear();
     for (int32_t r = leaf.deferHead; r >= 0;
-         r = deferred_[size_t(r)].next)
-        flushing_.push_back(deferred_[size_t(r)]);
+         r = deferred_[size_t(r)].next) {
+        flushDz_.push_back(deferred_[size_t(r)].dz);
+        flushX_.push_back(deferred_[size_t(r)].x);
+    }
     leaf.deferHead = leaf.deferTail = -1;
     // matvecWeightGrad once per record, in one pass: gradient row i
     // accumulates every record's x * dz[i].
-    const Deferred *recs = flushing_.data();
-    for (int i = 0; i < leaf.rows; ++i)
-        accumulateRows(
-            leaf.grad + size_t(i) * leaf.cols, leaf.cols,
-            flushing_.size(), [&](size_t r) { return recs[r].dz[i]; },
-            [&](size_t r) { return recs[r].x; });
+    matvecKernels().outerF64(leaf.grad, flushDz_.data(), flushX_.data(),
+                             flushDz_.size(), leaf.rows, leaf.cols);
 }
 
 void
@@ -1236,19 +1184,13 @@ Graph::backwardNode(Node &n)
             if (bn.requiresGrad)
                 bn.grad[i] += dz;
             n.aux[i] = dz;
-            if (dz == 0.0)
-                continue;
-            if (wn.requiresGrad && !defer_w) {
-                double *wrow = wn.grad + size_t(i) * in;
-                for (int k = 0; k < in; ++k)
-                    wrow[k] += dz * xn.val[k];
-            }
-            if (xn.requiresGrad) {
-                const double *wrow = wn.val + size_t(i) * in;
-                for (int k = 0; k < in; ++k)
-                    xn.grad[k] += wrow[k] * dz;
-            }
         }
+        // Then the matmul backward, as in the primitive chain: the
+        // bias gradient is complete before dW and dx accumulate.
+        if (wn.requiresGrad && !defer_w)
+            matvecWeightGrad(wn.grad, xn.val, n.aux, out, in);
+        if (xn.requiresGrad)
+            matvecInputGrad(wn.val, xn.grad, n.aux, out, in);
         if (wn.requiresGrad)
             wn.gradLive = true;
         if (xn.requiresGrad)

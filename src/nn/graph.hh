@@ -43,11 +43,17 @@
  * in the arenas until clear() — and the sweep applies every record
  * of the leaf at once when it reaches the leaf itself, which the
  * tape order guarantees comes after all its consumers. The flush
- * holds a row chunk of the gradient in registers across the records,
- * so an LSTM weight gradient is read and written once per sweep
- * instead of once per step. Every element receives the same
- * additions in the same order as the immediate update (the dz_i == 0
- * rows skipped alike), so results are bit-identical. Any other use
+ * hands the leaf's records, in order, as parallel dz and x pointer
+ * arrays to the selected outer-product kernel
+ * (MatvecKernels::outerF64, nn/matvec_dispatch.hh), which holds a
+ * column block of each gradient row in registers across the records
+ * — 32 columns at AVX2 width — so an LSTM weight gradient is read
+ * and written once per sweep instead of once per step. The immediate
+ * update of a weight that is not deferred is the same kernel with one
+ * record, and dx += W^T dz is its sibling entry inputGradF64. Every
+ * element receives the same additions in the same order as the
+ * immediate update (the dz_i == 0 rows skipped alike), on either
+ * dispatch path, so results are bit-identical. Any other use
  * of the leaf in the sweep flushes its pending records first, so
  * non-matvec consumers still see the reference order. The record
  * lists keep their capacity across clear(), like the arenas.
@@ -361,7 +367,8 @@ class Graph
     size_t
     deferredCapacity() const
     {
-        return deferred_.capacity() + flushing_.capacity();
+        return deferred_.capacity() + flushDz_.capacity() +
+               flushX_.capacity();
     }
 
   private:
@@ -473,8 +480,9 @@ class Graph
     std::vector<double> extraData_;
     /** Deferred outer products of this sweep (see file comment). */
     std::vector<Deferred> deferred_;
-    /** flushDeferred()'s gathered records of one leaf, reused. */
-    std::vector<Deferred> flushing_;
+    /** flushDeferred()'s gathered records of one leaf (dz and x
+     *  halves, for the outer-product kernel), reused. */
+    std::vector<const double *> flushDz_, flushX_;
     DoubleArena varena_; ///< values + fused-op aux
     DoubleArena garena_; ///< gradients (zeroed per backward())
     bool refKernels_ = false; ///< see setReferenceKernels()

@@ -1,19 +1,31 @@
 /**
  * @file
- * AVX2 forward matvec kernels, bit-identical to the scalar
- * reference.
+ * AVX2 matvec kernels — the forward W x and the two f64 backward
+ * halves — bit-identical to the scalar reference.
  *
- * The vectorization is *across rows*: 4 f64 (8 f32) rows share one
- * 256-bit accumulator, one row per lane. Each step loads a square
- * block of the weight matrix, transposes it in registers to column
- * vectors, and accumulates column k against the broadcast x[k] with
- * separate mul and add intrinsics — so every lane performs exactly
- * the scalar kernel's operation sequence: products and sums rounded
- * individually, in k-ascending order, per row. No FMA is used and
- * the file is compiled with -ffp-contract=off, so the compiler
- * cannot fuse a mul+add into one rounding. Remainder columns gather
- * scalars into a vector (same arithmetic); remainder rows run the
- * plain scalar loop (a row's sum does not depend on the blocking).
+ * The forward vectorization is *across rows*: 4 f64 (8 f32) rows
+ * share one 256-bit accumulator, one row per lane. Each step loads a
+ * square block of the weight matrix, transposes it in registers to
+ * column vectors, and accumulates column k against the broadcast
+ * x[k] with separate mul and add intrinsics — so every lane performs
+ * exactly the scalar kernel's operation sequence: products and sums
+ * rounded individually, in k-ascending order, per row. Remainder
+ * columns gather scalars into a vector (same arithmetic); remainder
+ * rows run the plain scalar loop (a row's sum does not depend on the
+ * blocking).
+ *
+ * The backward vectorization is *across columns*: a block of up to
+ * 32 output columns is held in 8 ymm accumulators (8 independent add
+ * chains, enough to cover the add latency) while the terms — rows of
+ * W for xgrad += W^T dz, records for the outer-product flush —
+ * stream past in order, each broadcast scale applied with a separate
+ * mul and add. The dz == 0.0 terms are skipped by a branch exactly
+ * as in the scalar kernel (a multiply by zero would turn an inf or
+ * NaN x into NaN and a -0.0 sum into +0.0). Remainder columns use
+ * fewer 4-wide accumulators, then scalars.
+ *
+ * No FMA is used and the file is compiled with -ffp-contract=off, so
+ * the compiler cannot fuse a mul+add into one rounding.
  *
  * Built only when the compiler accepts -mavx2 (the dispatcher gets
  * a null provider otherwise) and *executed* only after cpuid
@@ -166,7 +178,109 @@ avx2F32(const float *w, const float *x, float *out, int rows,
     }
 }
 
-const MatvecKernels avx2Kernels{avx2F64, avx2F32, "avx2"};
+/**
+ * out[k0 .. k0 + 4N) += v(r)[k0 .. k0 + 4N) * d(r) for r = 0 ..
+ * count-1 in order, the d(r) == 0 terms skipped: N independent ymm
+ * chains, each lane adding the scalar kernel's products in the
+ * scalar kernel's order.
+ */
+template <int N, typename Scale, typename Row>
+[[gnu::always_inline]] inline void
+accumulateBlock(double *__restrict out, int k0, size_t count,
+                const Scale &d, const Row &v)
+{
+    __m256d acc[N];
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j)
+        acc[j] = _mm256_loadu_pd(out + k0 + 4 * j);
+    for (size_t r = 0; r < count; ++r) {
+        const double dr = d(r);
+        if (dr == 0.0)
+            continue;
+        const __m256d dv = _mm256_set1_pd(dr);
+        const double *vr = v(r) + k0;
+#pragma GCC unroll 8
+        for (int j = 0; j < N; ++j)
+            acc[j] = _mm256_add_pd(
+                acc[j], _mm256_mul_pd(_mm256_loadu_pd(vr + 4 * j), dv));
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j)
+        _mm256_storeu_pd(out + k0 + 4 * j, acc[j]);
+}
+
+/**
+ * accumulateRows (nn/matvec_inl.hh) at AVX2 width: 32-column blocks,
+ * then one block of the remaining 4-column groups, then scalars.
+ */
+template <typename Scale, typename Row>
+[[gnu::always_inline]] inline void
+accumulateRowsAvx2(double *__restrict out, int cols, size_t count,
+                   const Scale &d, const Row &v)
+{
+    int k0 = 0;
+    for (; k0 + 32 <= cols; k0 += 32)
+        accumulateBlock<8>(out, k0, count, d, v);
+    const int quads = (cols - k0) / 4;
+    switch (quads) {
+    case 7:
+        accumulateBlock<7>(out, k0, count, d, v);
+        break;
+    case 6:
+        accumulateBlock<6>(out, k0, count, d, v);
+        break;
+    case 5:
+        accumulateBlock<5>(out, k0, count, d, v);
+        break;
+    case 4:
+        accumulateBlock<4>(out, k0, count, d, v);
+        break;
+    case 3:
+        accumulateBlock<3>(out, k0, count, d, v);
+        break;
+    case 2:
+        accumulateBlock<2>(out, k0, count, d, v);
+        break;
+    case 1:
+        accumulateBlock<1>(out, k0, count, d, v);
+        break;
+    default:
+        break;
+    }
+    for (k0 += 4 * quads; k0 < cols; ++k0) {
+        double acc = out[k0];
+        for (size_t r = 0; r < count; ++r) {
+            const double dr = d(r);
+            if (dr == 0.0)
+                continue;
+            acc += v(r)[k0] * dr;
+        }
+        out[k0] = acc;
+    }
+}
+
+void
+avx2InputGradF64(const double *w, const double *dz, double *xgrad,
+                 int rows, int cols)
+{
+    accumulateRowsAvx2(
+        xgrad, cols, size_t(rows), [&](size_t i) { return dz[i]; },
+        [&](size_t i) { return w + i * size_t(cols); });
+}
+
+void
+avx2OuterF64(double *grad, const double *const *dz,
+             const double *const *x, size_t count, int rows, int cols)
+{
+    for (int i = 0; i < rows; ++i)
+        accumulateRowsAvx2(
+            grad + size_t(i) * cols, cols, count,
+            [&](size_t r) { return dz[r][i]; },
+            [&](size_t r) { return x[r]; });
+}
+
+const MatvecKernels avx2Kernels{avx2F64, avx2F32, avx2InputGradF64,
+                                avx2OuterF64, "avx2"};
 
 } // namespace
 

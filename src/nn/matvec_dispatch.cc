@@ -3,7 +3,8 @@
  * Runtime matvec path selection: scalar unless AVX2 kernels were
  * compiled in AND cpuid reports AVX2, with DIFFTUNE_FORCE_SCALAR
  * pinning the scalar path. Selected once per process (bit-stability
- * of cached predictions forbids switching mid-run).
+ * of cached predictions forbids switching mid-run). Also the home
+ * of the scalar kernel set, instantiated from nn/matvec_inl.hh.
  */
 
 #include "nn/matvec_dispatch.hh"
@@ -31,8 +32,32 @@ scalarF32(const float *w, const float *x, float *out, int rows,
     matvecForwardScalarT(w, x, out, rows, cols);
 }
 
-const MatvecKernels scalarKernels{scalarF64, scalarF32, "scalar"};
+void
+scalarInputGradF64(const double *w, const double *dz, double *xgrad,
+                   int rows, int cols)
+{
+    accumulateRows(
+        xgrad, cols, size_t(rows), [&](size_t i) { return dz[i]; },
+        [&](size_t i) { return w + i * size_t(cols); });
+}
+
+void
+scalarOuterF64(double *grad, const double *const *dz,
+               const double *const *x, size_t count, int rows,
+               int cols)
+{
+    for (int i = 0; i < rows; ++i)
+        accumulateRows(
+            grad + size_t(i) * cols, cols, count,
+            [&](size_t r) { return dz[r][i]; },
+            [&](size_t r) { return x[r]; });
+}
+
+const MatvecKernels scalarKernels{scalarF64, scalarF32,
+                                  scalarInputGradF64, scalarOuterF64,
+                                  "scalar"};
 const MatvecKernels forcedKernels{scalarF64, scalarF32,
+                                  scalarInputGradF64, scalarOuterF64,
                                   "scalar (forced)"};
 
 const MatvecKernels &

@@ -1,21 +1,34 @@
 /**
  * @file
- * Runtime-dispatched forward matvec kernels.
+ * Runtime-dispatched matvec kernels: the forward W x and the two
+ * halves of its f64 backward.
  *
  * One process-wide selection, made on first use, routes every
- * forward matvec (autograd engine, batched executor, snapshot
+ * kernel call (autograd engine, batched executor, snapshot
  * projections — all via nn/matvec_inl.hh) to either the portable
- * scalar kernel or the AVX2 kernel:
+ * scalar kernels or the AVX2 kernels. Each entry point:
  *
- *  - scalar: the ILP-blocked reference in matvec_inl.hh.
- *  - avx2:   vectorized *across rows* (4 f64 / 8 f32 rows per
- *            256-bit register) with each lane's accumulation kept in
- *            k-ascending order and no FMA contraction, so both f64
- *            and f32 results are bit-identical to the scalar kernel
- *            (tests/test_frontend.cc proves it exhaustively; the
- *            golden suites re-prove it end to end). Selected only
- *            when the kernels were compiled in AND cpuid reports
- *            AVX2.
+ *  - f64 / f32      out = W x. AVX2 vectorizes *across rows* (4 f64 /
+ *                   8 f32 rows per 256-bit register) with each lane's
+ *                   accumulation kept in k-ascending order.
+ *  - inputGradF64   xgrad += W^T dz, the input half of a matvec
+ *                   backward.
+ *  - outerF64       grad += sum_r dz_r x_r^T over an ordered list of
+ *                   records, the weight half (the autograd engine's
+ *                   deferred flush, and one record for an immediate
+ *                   update).
+ *
+ * The two backward entries accumulate *across columns*: a block of
+ * output columns stays in registers (8 ymm chains of 4 doubles on
+ * AVX2, 16 doubles on the scalar path) while the terms stream past
+ * in order. Per element both paths perform the same multiplies and
+ * adds in the same order with no FMA contraction, and skip the
+ * dz == 0.0 terms (-0.0 included) with a branch. The forward
+ * kernels likewise keep each row's k order, so every AVX2 entry is
+ * bit-identical to its scalar counterpart
+ * (tests/test_frontend.cc proves it per entry; the golden suites
+ * re-prove it end to end). AVX2 is selected only when the kernels
+ * were compiled in AND cpuid reports AVX2.
  *
  * Because every caller goes through the one dispatch point, the f64
  * bit-exactness contract (batched == sequential reference) holds
@@ -23,11 +36,14 @@
  * always run the same kernel.
  *
  * Setting DIFFTUNE_FORCE_SCALAR (non-empty, not "0") pins the
- * scalar path; CI runs the nn + serve suites both ways.
+ * scalar path for every entry; CI runs the nn + serve suites both
+ * ways.
  */
 
 #ifndef DIFFTUNE_NN_MATVEC_DISPATCH_HH
 #define DIFFTUNE_NN_MATVEC_DISPATCH_HH
+
+#include <cstddef>
 
 namespace difftune::nn
 {
@@ -38,12 +54,28 @@ using MatvecF64Fn = void (*)(const double *w, const double *x,
 /** out = W x in single precision. */
 using MatvecF32Fn = void (*)(const float *w, const float *x,
                              float *out, int rows, int cols);
+/**
+ * xgrad += W^T dz (row-major W, rows x cols): row i adds
+ * W[i,:] * dz[i], rows ascending, the dz[i] == 0 rows skipped.
+ */
+using InputGradF64Fn = void (*)(const double *w, const double *dz,
+                                double *xgrad, int rows, int cols);
+/**
+ * grad += sum_r dz[r] x[r]^T (grad row-major, rows x cols; dz[r]
+ * has rows entries, x[r] has cols) for r = 0 .. count-1 in order:
+ * grad row i adds x[r] * dz[r][i], the dz[r][i] == 0 terms skipped.
+ */
+using OuterF64Fn = void (*)(double *grad, const double *const *dz,
+                            const double *const *x, size_t count,
+                            int rows, int cols);
 
-/** One selectable matvec implementation pair. */
+/** One selectable kernel set. */
 struct MatvecKernels
 {
     MatvecF64Fn f64 = nullptr;
     MatvecF32Fn f32 = nullptr;
+    InputGradF64Fn inputGradF64 = nullptr;
+    OuterF64Fn outerF64 = nullptr;
     const char *name = "";
 };
 

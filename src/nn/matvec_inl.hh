@@ -1,19 +1,20 @@
 /**
  * @file
- * The matrix-vector kernel shared by the autograd engine
+ * The matrix-vector kernels shared by the autograd engine
  * (nn/graph.cc), the batched forward executor (nn/batched.cc) and
- * the snapshot projection tables (nn/snapshot.cc).
+ * the snapshot projection tables (nn/snapshot.cc), and the portable
+ * scalar bodies of the dispatched forward and backward entries.
  *
  * Internal header: include only from nn/ translation units. Every
  * engine must run the *same* kernel so their results are
- * bit-identical by construction — matvecForwardT routes through the
- * one runtime dispatch point (nn/matvec_dispatch.hh), which selects
- * the scalar or the AVX2 implementation once per process. Both
- * implementations keep each row's accumulation in the reference
- * k-ascending order with no FMA contraction, so the selection can
- * never change results, only speed; if you change the accumulation
- * order anywhere you change the numerics contract of every engine
- * (see tests/golden/).
+ * bit-identical by construction — matvecForwardT and the autograd
+ * backward route through the one runtime dispatch point
+ * (nn/matvec_dispatch.hh), which selects the scalar or the AVX2
+ * implementation once per process. Both implementations keep each
+ * element's accumulation in the reference order with no FMA
+ * contraction, so the selection can never change results, only
+ * speed; if you change the accumulation order anywhere you change
+ * the numerics contract of every engine (see tests/golden/).
  */
 
 #ifndef DIFFTUNE_NN_MATVEC_INL_HH
@@ -94,6 +95,51 @@ matvecForwardScalarT(const T *__restrict w, const T *__restrict x,
         for (int k = 0; k < cols; ++k)
             sum += wr[k] * x[k];
         out[r] = sum;
+    }
+}
+
+/**
+ * Portable backward kernel body: out[k] += v(r)[k] * d(r) for
+ * r = 0 .. count-1 in order, the d(r) == 0 terms skipped, for every
+ * k < cols. Each kChunk-wide slice of out is loaded once,
+ * accumulates every term in a register block, and is stored once.
+ * Per element that is the same sequence of multiplies and adds as
+ * one pass over out per term, so the bits match. Both scalar
+ * backward entries (nn/matvec_dispatch.cc) are built from it:
+ * xgrad += W^T dz takes the rows of W as terms, and each gradient
+ * row of an outer-product flush takes the records' x vectors.
+ */
+template <typename Scale, typename Row>
+inline void
+accumulateRows(double *__restrict out, int cols, size_t count,
+               const Scale &d, const Row &v)
+{
+    constexpr int kChunk = 16;
+    int k0 = 0;
+    for (; k0 + kChunk <= cols; k0 += kChunk) {
+        double acc[kChunk];
+        for (int j = 0; j < kChunk; ++j)
+            acc[j] = out[k0 + j];
+        for (size_t r = 0; r < count; ++r) {
+            const double dr = d(r);
+            if (dr == 0.0)
+                continue;
+            const double *vr = v(r) + k0;
+            for (int j = 0; j < kChunk; ++j)
+                acc[j] += vr[j] * dr;
+        }
+        for (int j = 0; j < kChunk; ++j)
+            out[k0 + j] = acc[j];
+    }
+    for (; k0 < cols; ++k0) {
+        double acc = out[k0];
+        for (size_t r = 0; r < count; ++r) {
+            const double dr = d(r);
+            if (dr == 0.0)
+                continue;
+            acc += v(r)[k0] * dr;
+        }
+        out[k0] = acc;
     }
 }
 

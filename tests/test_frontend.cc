@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -537,8 +538,8 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
     std::normal_distribution<double> dist(0.0, 3.0);
     // Cover every row/col remainder class of both kernels (f64
     // blocks 4 rows x 4 cols, f32 blocks 8x8), plus larger shapes.
-    const int rows_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 23, 40};
-    const int cols_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 33, 64};
+    const int rows_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 23, 40, 256};
+    const int cols_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 81};
     for (int rows : rows_set) {
         for (int cols : cols_set) {
             std::vector<double> w(size_t(rows) * size_t(cols));
@@ -567,6 +568,137 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
             EXPECT_EQ(0, std::memcmp(reff.data(), gotf.data(),
                                      reff.size() * sizeof(float)))
                 << "f32 diverged at " << rows << "x" << cols;
+        }
+    }
+}
+
+/**
+ * The two f64 backward entries, AVX2 against scalar, and both
+ * against the plain one-pass-per-term loop they must equal. Signed
+ * zeros appear in dz, in the values and in the starting gradient;
+ * every term whose dz is zero carries inf/NaN values, so a kernel
+ * that stopped skipping those terms (or skipped them branch-free
+ * with a multiply by zero) turns the sum into NaN.
+ */
+TEST(FrontendDispatch, Avx2BackwardBitIdenticalToScalar)
+{
+    const nn::MatvecKernels *avx2 = nn::matvecAvx2Kernels();
+    if (!avx2 || !nn::cpuSupportsAvx2())
+        GTEST_SKIP() << "AVX2 kernels unavailable on this host";
+    const nn::MatvecKernels &scalar = nn::matvecScalarKernels();
+
+    std::mt19937_64 rng(0xbac4);
+    std::normal_distribution<double> dist(0.0, 3.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Mostly normal draws, with +0.0 and -0.0 one time in eight each.
+    const auto draw = [&] {
+        switch (rng() % 8) {
+        case 0:
+            return 0.0;
+        case 1:
+            return -0.0;
+        default:
+            return dist(rng);
+        }
+    };
+    const auto poison = [&](double *v, int n) {
+        for (int k = 0; k < n; ++k)
+            v[k] = k % 3 == 0 ? inf : k % 3 == 1 ? -inf : nan;
+    };
+    // Every other gradient element starts at -0.0.
+    const auto startGrad = [&](size_t n) {
+        std::vector<double> grad(n);
+        for (size_t e = 0; e < n; ++e)
+            grad[e] = e % 2 == 0 ? -0.0 : dist(rng);
+        return grad;
+    };
+    const auto sameBits = [](const std::vector<double> &a,
+                             const std::vector<double> &b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(),
+                           a.size() * sizeof(double)) == 0;
+    };
+
+    // Every column remainder class of the 32/4/1-column blocking.
+    const int rows_set[] = {1, 4, 5, 256};
+    const int cols_set[] = {1, 2, 3, 4, 5, 6, 7, 8,
+                            9, 17, 31, 32, 33, 64, 81};
+    const size_t count_set[] = {0, 1, 3, 40};
+    for (int rows : rows_set) {
+        for (int cols : cols_set) {
+            // xgrad += W^T dz; the rows of W with a zero dz are
+            // poisoned.
+            std::vector<double> w(size_t(rows) * size_t(cols));
+            std::vector<double> dz(size_t(rows), 0.0);
+            for (double &v : w)
+                v = draw();
+            for (int i = 0; i < rows; ++i) {
+                dz[size_t(i)] = draw();
+                if (dz[size_t(i)] == 0.0)
+                    poison(w.data() + size_t(i) * cols, cols);
+            }
+            const std::vector<double> xgrad0 = startGrad(size_t(cols));
+            std::vector<double> oracle = xgrad0;
+            for (int i = 0; i < rows; ++i) {
+                if (dz[size_t(i)] == 0.0)
+                    continue;
+                for (int k = 0; k < cols; ++k)
+                    oracle[size_t(k)] +=
+                        w[size_t(i) * cols + k] * dz[size_t(i)];
+            }
+            std::vector<double> ref = xgrad0, got = xgrad0;
+            scalar.inputGradF64(w.data(), dz.data(), ref.data(), rows, cols);
+            avx2->inputGradF64(w.data(), dz.data(), got.data(), rows, cols);
+            EXPECT_TRUE(sameBits(oracle, ref))
+                << "scalar input grad diverged at " << rows << "x" << cols;
+            EXPECT_TRUE(sameBits(ref, got))
+                << "avx2 input grad diverged at " << rows << "x" << cols;
+
+            // grad += sum_r dz_r x_r^T; each record's zero dz_r[i]
+            // entries pair with a poisoned x_r only when the whole
+            // record is zero (a live entry must not meet inf/NaN).
+            for (size_t count : count_set) {
+                std::vector<std::vector<double>> dzs(count), xs(count);
+                std::vector<const double *> dzp, xp;
+                for (size_t r = 0; r < count; ++r) {
+                    dzs[r].resize(size_t(rows));
+                    xs[r].resize(size_t(cols));
+                    const bool dead = r % 3 == 2;
+                    for (double &v : dzs[r])
+                        v = dead ? (rng() % 2 ? 0.0 : -0.0) : draw();
+                    if (dead)
+                        poison(xs[r].data(), cols);
+                    else
+                        for (double &v : xs[r])
+                            v = draw();
+                    dzp.push_back(dzs[r].data());
+                    xp.push_back(xs[r].data());
+                }
+                const std::vector<double> grad0 =
+                    startGrad(size_t(rows) * size_t(cols));
+                std::vector<double> oracle_w = grad0;
+                for (size_t r = 0; r < count; ++r)
+                    for (int i = 0; i < rows; ++i) {
+                        const double d = dzs[r][size_t(i)];
+                        if (d == 0.0)
+                            continue;
+                        for (int k = 0; k < cols; ++k)
+                            oracle_w[size_t(i) * cols + k] +=
+                                xs[r][size_t(k)] * d;
+                    }
+                std::vector<double> ref_w = grad0, got_w = grad0;
+                scalar.outerF64(ref_w.data(), dzp.data(), xp.data(),
+                                count, rows, cols);
+                avx2->outerF64(got_w.data(), dzp.data(), xp.data(),
+                               count, rows, cols);
+                EXPECT_TRUE(sameBits(oracle_w, ref_w))
+                    << "scalar outer product diverged at " << rows
+                    << "x" << cols << ", " << count << " records";
+                EXPECT_TRUE(sameBits(ref_w, got_w))
+                    << "avx2 outer product diverged at " << rows << "x"
+                    << cols << ", " << count << " records";
+            }
         }
     }
 }

@@ -390,6 +390,26 @@ TEST(FusedEquivalence, LinearModule)
     });
 }
 
+TEST(FusedEquivalence, LinearInputAlsoBias)
+{
+    // linear(W, v, v): v's gradient takes the bias term dz_i in full
+    // before W^T dz, the order of the primitive add-then-matmul
+    // backward.
+    Rng rng(118);
+    ParamSet params;
+    const int w = params.add(7, 7);
+    const int v = params.add(7, 1);
+    params[w].uniformInit(rng, 0.5);
+    params[v].uniformInit(rng, 0.5);
+    checkFusedUnfusedBits(params, [&](Graph &g, Ctx &ctx) {
+        Var wv = g.param(ctx.params, w, ctx.sink);
+        Var vv = g.param(ctx.params, v, ctx.sink);
+        Var y = ctx.fuse ? g.linear(wv, vv, vv) : g.add(g.matmul(wv, vv), vv);
+        Rng probe_rng(73);
+        return probeLoss(g, y, probe_rng);
+    });
+}
+
 TEST(FusedEquivalence, LstmStackSequence)
 {
     Rng rng(111);
