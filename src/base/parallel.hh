@@ -5,11 +5,13 @@
  * Work is partitioned into contiguous shards, one per worker. The
  * shard count is min(requested workers, pool size, n), and the pool
  * size defaults to the host's core count (workerThreads()), so the
- * partition — and any reduction that sums per-shard partials in shard
- * order — depends on the host unless the caller fixes both the
- * request and DIFFTUNE_THREADS. Per-item work that never crosses a
- * shard boundary (per-shard RNG forks, independent lanes) is
- * unaffected.
+ * partition itself depends on the host. No caller reduces over
+ * shards: parallelFor, the fidelity check and predictAll write
+ * per-item results, and core::BatchRunner uses the shards only as
+ * worker lanes that claim fixed-size chunks whose partials combine in
+ * a fixed tree (core/trainer.hh). Every result is therefore the same
+ * on any core count. A new caller that sums per-shard partials would
+ * break that; reduce over a partition that depends on n alone.
  */
 
 #ifndef DIFFTUNE_BASE_PARALLEL_HH

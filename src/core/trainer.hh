@@ -3,11 +3,14 @@
  * Data-parallel minibatch machinery shared by surrogate training,
  * parameter-table training and the Ithemal baseline.
  *
- * Each worker shard owns a reusable Graph and Grads buffer; a batch
- * maps sample indices over the shards, then gradients are reduced in
- * shard order and averaged — bit-reproducible regardless of thread
- * scheduling because shard boundaries are a pure function of the
- * batch size and worker count.
+ * A batch is split into fixed logical chunks of consecutive samples
+ * (kChunk in trainer.cc). Each chunk sums its samples' gradients and
+ * losses, in sample order, into its own reusable Grads; worker lanes,
+ * each owning one reusable Graph, claim chunks dynamically. The chunk
+ * partials are then combined by a fixed pairwise tree and averaged.
+ * The reduction's shape is a function of the batch size alone, so
+ * losses and gradients are bit-identical for any worker count, core
+ * count, DIFFTUNE_THREADS setting and thread schedule.
  */
 
 #ifndef DIFFTUNE_CORE_TRAINER_HH
@@ -21,7 +24,10 @@
 namespace difftune::core
 {
 
-/** Reusable per-shard training state for one trainable ParamSet. */
+/**
+ * Reusable per-lane and per-chunk training state for one trainable
+ * ParamSet.
+ */
 class BatchRunner
 {
   public:
@@ -43,7 +49,12 @@ class BatchRunner
     /**
      * Run @p body for sample indices [begin, end) in parallel,
      * average the gradients into an internal buffer, and return the
-     * mean loss. Call apply() afterwards to take an optimizer step.
+     * mean loss. Chunk c covers [begin + c * kChunk, ...) and sums
+     * its samples in index order; the chunk partials combine as
+     * chunk[c] += chunk[c + s] for s = 1, 2, 4, ..., so the result
+     * depends only on the range and the samples, never on how many
+     * workers ran it. Call apply() afterwards to take an optimizer
+     * step.
      */
     double runBatch(size_t begin, size_t end, const SampleFn &body);
 
@@ -55,8 +66,10 @@ class BatchRunner
 
   private:
     int workers_;
+    /** One reusable graph per worker lane. */
     std::vector<std::unique_ptr<nn::Graph>> graphs_;
-    std::vector<std::unique_ptr<nn::Grads>> shardGrads_;
+    /** One reusable buffer per chunk; grows to the largest batch. */
+    std::vector<nn::Grads> chunkGrads_;
     nn::Grads total_;
 };
 

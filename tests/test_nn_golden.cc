@@ -34,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/raw_table.hh"
 #include "core/trainer.hh"
 #include "io/checkpoint.hh"
@@ -312,12 +314,18 @@ regenRequested()
     return env && *env && *env != '0';
 }
 
+/**
+ * A temp-dir path removed on scope exit. The name carries the pid:
+ * CTest runs this binary as two entries (test_nn_golden and
+ * test_nn_golden.one_thread) that may execute concurrently.
+ */
 class TempFile
 {
   public:
     explicit TempFile(const char *name)
         : path_((std::filesystem::temp_directory_path() /
-                 (std::string("difftune_golden_") + name))
+                 ("difftune_golden_" + std::to_string(getpid()) + "_" +
+                  name))
                     .string())
     {
     }
