@@ -1,10 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the neural substrate: matvec,
- * the two backward kernels, LSTM step, full surrogate forward and
- * forward+backward. These
- * document the per-sample training cost behind the Table IV
- * pipelines.
+ * the lanes forward, the two backward kernels, LSTM step, full
+ * surrogate forward and forward+backward. These document the
+ * per-sample training cost behind the Table IV pipelines.
  *
  * All loops reuse one Graph via clear() — the arena-tape idiom every
  * production call site (BatchRunner shards, the serving engine,
@@ -101,6 +100,39 @@ benchValues(Rng &rng, size_t n)
         x = rng.uniformReal() - 0.5;
     return v;
 }
+
+/**
+ * out_j = W x_j for @c range(1) vectors through the selected lanes
+ * entry (nn/matvec_dispatch.hh), for a 256-row LSTM gate weight: the
+ * hidden width 64 and the block LSTM's 81-wide layer-0 input. Lanes
+ * 1 is the single-vector cost; 8 is the batched executor's group.
+ */
+void
+BM_MatvecLanes(benchmark::State &state)
+{
+    const int rows = 256, cols = int(state.range(0));
+    const int lanes = int(state.range(1));
+    Rng rng(4);
+    const std::vector<double> w = benchValues(rng, size_t(rows) * cols);
+    const std::vector<double> x =
+        benchValues(rng, size_t(lanes) * size_t(cols));
+    std::vector<double> out(size_t(lanes) * size_t(rows));
+    std::vector<const double *> xs;
+    std::vector<double *> outs;
+    for (int j = 0; j < lanes; ++j) {
+        xs.push_back(x.data() + size_t(j) * cols);
+        outs.push_back(out.data() + size_t(j) * rows);
+    }
+    const nn::MatvecKernels &k = nn::matvecKernels();
+    for (auto _ : state) {
+        k.lanesF64(w.data(), xs.data(), outs.data(), lanes, rows, cols);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    setFlopRate(state, 2.0 * rows * cols * lanes);
+}
+BENCHMARK(BM_MatvecLanes)
+    ->ArgsProduct({{64, 81}, {1, 4, 8, 32}});
 
 /**
  * dx += W^T dz through the selected backward kernel

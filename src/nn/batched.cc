@@ -231,49 +231,45 @@ namespace
 {
 
 /**
- * The gate pre-activations of one lane at one step:
+ * Lanes per group in runImpl: the lanes entry holds one ymm
+ * accumulator per lane, and 8 of them plus a transposed weight block
+ * fill the AVX2 register file.
+ */
+constexpr int kLaneGroup = 8;
+
+/**
+ * The gate pre-activations of one lane at one step from its two
+ * matvec products:
  *
- *     z = (Wx x + Wh h) + b
+ *     z = (wxx + whh) + b
  *
- * computed exactly as graph.cc's fused lstmStep computes them — two
- * runs of the shared ILP-blocked matvec kernel and one combining
- * pass — so the kF64 batched forward is bit-identical to the
- * sequential engine by construction.
+ * the combining pass of graph.cc's fused lstmStep, so the kF64
+ * batched forward is bit-identical to the sequential engine by
+ * construction.
  *
- * The one divergence is an *exact* shortcut: at a lane's first step
- * the incoming hidden state is all zero, so the (4H x H) recurrent
- * matvec is skipped. Its degenerate per-row sum is always +0.0 —
+ * whh is null at a lane's first step, where the incoming hidden
+ * state is all zero and the (4H x H) recurrent matvec is skipped.
+ * Its degenerate per-row sum is always +0.0 for finite weights —
  * the kernel's accumulators start at +0.0 and IEEE-754
  * round-to-nearest gives (+0.0) + (±0.0) = +0.0 for every
  * wh * 0.0 term — so adding a literal +0.0 reproduces the skipped
  * matvec bit for bit at one third fewer multiplies per first step.
+ * graph.cc's lstmStep makes the same skip for an all-zero h.
+ *
+ * wxx may alias z (in-place combine), so neither is restrict.
  */
-/** wxx may alias z (in-place combine), so neither is restrict. */
 template <typename T>
 inline void
-laneGatesCombine(const T *wxx, const T *__restrict wh,
-                 const T *__restrict bias, const T *__restrict h,
-                 T *z, T *__restrict scratch, int rows, int hidden)
+laneGatesCombine(const T *wxx, const T *__restrict whh,
+                 const T *__restrict bias, T *z, int rows)
 {
-    if (h) {
-        matvecForwardT(wh, h, scratch, rows, hidden);
+    if (whh) {
         for (int r = 0; r < rows; ++r)
-            z[r] = (wxx[r] + scratch[r]) + bias[r];
+            z[r] = (wxx[r] + whh[r]) + bias[r];
     } else {
         for (int r = 0; r < rows; ++r)
             z[r] = (wxx[r] + T(0)) + bias[r];
     }
-}
-
-template <typename T>
-inline void
-laneGates(const T *__restrict wx, const T *__restrict wh,
-          const T *__restrict bias, const T *__restrict x,
-          const T *__restrict h, T *__restrict z,
-          T *__restrict scratch, int rows, int in_dim, int hidden)
-{
-    matvecForwardT(wx, x, z, rows, in_dim);
-    laneGatesCombine(z, wh, bias, h, z, scratch, rows, hidden);
 }
 
 /**
@@ -408,14 +404,21 @@ BatchedForward::runImpl(const LstmStackRef &stack)
     // [l * count + s] * hidden. The zero fill of c is load-bearing:
     // laneCellUpdate reads c at every lane's first step (gf * c[i]),
     // and the sequential engine's initial cell state is exactly
-    // zero. h's zero fill is only defensive — the t = 0 shortcut in
-    // laneGates never reads the initial hidden state.
+    // zero. h's zero fill is only defensive — the t = 0 recurrent
+    // skip below never reads the initial hidden state.
     const size_t per_layer = size_t(count) * hidden;
     ws.h.assign(size_t(layers) * per_layer, T(0));
     ws.c.assign(size_t(layers) * per_layer, T(0));
-    ws.gates.resize(size_t(8) * hidden); // z (4H) + wh scratch (4H)
-    T *z = ws.gates.data();
-    T *scratch = z + size_t(4) * hidden;
+    // Per group lane g: z at [g * 4H] and the Wh h product at
+    // [(kLaneGroup + g) * 4H].
+    const int rows = 4 * hidden;
+    ws.gates.resize(size_t(2 * kLaneGroup) * size_t(rows));
+    T *zs[kLaneGroup];
+    T *whh[kLaneGroup];
+    for (int g = 0; g < kLaneGroup; ++g) {
+        zs[g] = ws.gates.data() + size_t(g) * rows;
+        whh[g] = ws.gates.data() + size_t(kLaneGroup + g) * rows;
+    }
 
     const int max_len = lanes_[size_t(order_[0])].len;
     int active = count;
@@ -423,12 +426,12 @@ BatchedForward::runImpl(const LstmStackRef &stack)
         while (active > 0 &&
                lanes_[size_t(order_[size_t(active) - 1])].len <= t)
             --active;
-        // Layer outer, lane inner: one layer's (Wx, Wh) panel is
-        // streamed over every active lane back to back — the weight
-        // reads stay cache-hot across the whole batch instead of
-        // being re-fetched per block as in the sequential engine.
-        // Lanes are arithmetically independent, so this order
-        // change is invisible to the results.
+        // Layer outer, lane groups inner: one layer's (Wx, Wh) panel
+        // serves every active lane before the next layer's. Within a
+        // group of up to kLaneGroup lanes each matvec is one lanes
+        // call, so a weight block is loaded once per group instead
+        // of once per lane. Lanes are arithmetically independent, so
+        // neither order change is visible in the results.
         for (int l = 0; l < layers; ++l) {
             const LstmLayerRef &layer = stack.layers[size_t(l)];
             const int in_dim = l == 0 ? dim_ : hidden;
@@ -437,38 +440,56 @@ BatchedForward::runImpl(const LstmStackRef &stack)
             const T *bias = weight<T>(layer.bias);
             T *hl = ws.h.data() + size_t(l) * per_layer;
             T *cl = ws.c.data() + size_t(l) * per_layer;
-            for (int s = 0; s < active; ++s) {
-                const Lane &lane =
-                    lanes_[size_t(order_[size_t(s)])];
-                T *h = hl + size_t(s) * hidden;
-                T *c = cl + size_t(s) * hidden;
-                const T *prev_h = t == 0 ? nullptr : h;
-                const int32_t tab =
-                    l == 0 ? rowTab_[size_t(lane.step0) + size_t(t)]
-                           : -1;
-                if (tab >= 0) {
-                    // The step's input is row r of a parameter
-                    // table (an embedding gather): its Wx product
-                    // is precomputed per vocabulary entry — in the
-                    // shared snapshot, once across all sibling
-                    // executors — so the whole layer-0 input matvec
-                    // is skipped.
-                    const T *proj = snapshot_->projTable<T>(
-                        layer.wx, tab, 4 * hidden, in_dim);
-                    const int32_t row =
-                        rowIdx_[size_t(lane.step0) + size_t(t)];
-                    laneGatesCombine(proj + size_t(row) * 4 * hidden,
-                                     wh, bias, prev_h, z, scratch,
-                                     4 * hidden, hidden);
-                } else {
-                    const T *x =
-                        l == 0 ? ws.in.data() + lane.off +
-                                     size_t(t) * dim_
-                               : h - per_layer; // layer below
-                    laneGates(wx, wh, bias, x, prev_h, z, scratch,
-                              4 * hidden, in_dim, hidden);
+            for (int s0 = 0; s0 < active; s0 += kLaneGroup) {
+                const int n = std::min(kLaneGroup, active - s0);
+                const T *wxx[kLaneGroup];
+                const T *hs[kLaneGroup];
+                const T *xs[kLaneGroup];
+                T *xout[kLaneGroup];
+                int nx = 0;
+                for (int g = 0; g < n; ++g) {
+                    const int s = s0 + g;
+                    const Lane &lane =
+                        lanes_[size_t(order_[size_t(s)])];
+                    const T *h = hl + size_t(s) * hidden;
+                    hs[g] = h;
+                    const int32_t tab =
+                        l == 0
+                            ? rowTab_[size_t(lane.step0) + size_t(t)]
+                            : -1;
+                    if (tab >= 0) {
+                        // The step's input is row r of a parameter
+                        // table (an embedding gather): its Wx
+                        // product is precomputed per vocabulary
+                        // entry — in the shared snapshot, once
+                        // across all sibling executors — so the
+                        // lane drops out of the Wx matvec.
+                        const T *proj = snapshot_->projTable<T>(
+                            layer.wx, tab, rows, in_dim);
+                        const int32_t row =
+                            rowIdx_[size_t(lane.step0) + size_t(t)];
+                        wxx[g] = proj + size_t(row) * rows;
+                    } else {
+                        xs[nx] = l == 0 ? ws.in.data() + lane.off +
+                                              size_t(t) * dim_
+                                        : h - per_layer; // layer below
+                        xout[nx++] = zs[g];
+                        wxx[g] = zs[g];
+                    }
                 }
-                laneCellUpdate(z, h, c, hidden);
+                if (nx > 0)
+                    matvecLanesT(wx, xs, xout, nx, rows, in_dim);
+                // At t = 0 every hidden state is zero: the recurrent
+                // product is skipped (see laneGatesCombine).
+                if (t > 0)
+                    matvecLanesT(wh, hs, whh, n, rows, hidden);
+                for (int g = 0; g < n; ++g) {
+                    const size_t s = size_t(s0 + g);
+                    laneGatesCombine(wxx[g], t > 0 ? whh[g] : nullptr,
+                                     bias, zs[g], rows);
+                    laneCellUpdate(zs[g], hl + s * hidden,
+                                   cl + s * hidden, hidden);
+                }
             }
         }
         // Lanes ending at this step hand their top-layer hidden

@@ -6,18 +6,22 @@
  *
  * The autograd Graph executes one block at a time and pays tape
  * construction per node. BatchedForward runs N ragged sequences
- * ("lanes") through an LSTM stack in lockstep with no tape at all:
- * per step, each layer's weight panel streams over every active
- * lane back to back (cache-hot instead of re-fetched per block),
- * and two forward-only shortcuts exploit frozenness:
+ * ("lanes") through an LSTM stack in lockstep with no tape at all.
+ * Per step and layer, the active lanes go in groups of up to 8: the
+ * group's Wx x products are one lanes call of the matvec dispatch
+ * (nn/matvec_dispatch.hh), its Wh h products another, so each
+ * weight block is loaded and transposed once per group instead of
+ * once per lane; then each lane's gate combine and cell update run
+ * as before. (In kF32 the groups make one single-vector f32 kernel
+ * call per lane.) Two forward-only shortcuts exploit frozenness:
  *
  *  - first-step skip: a lane's initial hidden state is zero, so the
  *    recurrent matvec at t = 0 collapses to its exact degenerate
- *    result (+0.0 per row — see laneGates in batched.cc);
+ *    result (+0.0 per row — see laneGatesCombine in batched.cc);
  *  - input projections: when a step's input is a row of a parameter
  *    table (an embedding gather, via setInputParamRow), the Wx
  *    product of every table row is precomputed once per (weight,
- *    table) pair and the whole layer-0 input matvec is skipped.
+ *    table) pair and the lane sits out its group's layer-0 Wx call.
  *
  * All weight-derived state — the f64 view, the lazily-converted f32
  * panels and the input-projection tables — lives in an immutable
@@ -30,11 +34,12 @@
  *
  * In Precision::kF64 every per-lane arithmetic operation replicates
  * the graph engine's per-element expression shape and k-ascending
- * accumulation order exactly — the matvec kernel is literally the
- * same template (nn/matvec_inl.hh), and both shortcuts above are
- * value-exact — so a batched forward pass is bit-identical to
- * running each lane through its own Graph, regardless of batch
- * size, submission order or the lengths of the other lanes.
+ * accumulation order exactly — each lane of a lanes call has the
+ * bits of the single-vector kernel the graph runs, and both
+ * shortcuts above are value-exact — so a batched forward pass is
+ * bit-identical to running each lane through its own Graph,
+ * regardless of batch size, submission order or the lengths of the
+ * other lanes.
  * tests/test_nn_batched.cc and the golden suite lock this in.
  *
  * # Ragged batches and masking
@@ -222,7 +227,7 @@ class BatchedForward
     {
         std::vector<T> in;     ///< ragged inputs, lane-major
         std::vector<T> h, c;   ///< layers x lanes x hidden
-        std::vector<T> gates;  ///< one lane's z + wh scratch
+        std::vector<T> gates;  ///< a lane group's z and Wh h
         std::vector<T> finalH; ///< lanes x hidden (flat)
     };
 

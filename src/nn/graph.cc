@@ -702,11 +702,28 @@ Graph::lstmStep(Var wx, Var wh, Var bias, Var x, Var h, Var c)
     // Pre-activations z = (Wx x + Wh h) + b, in the reference
     // engine's summation order. The dz scratch area doubles as a
     // forward temporary for the Wh h product.
+    //
+    // An all-zero h (every entry +0.0 or -0.0: a sequence's first
+    // step) skips the Wh h matvec. Each of its row sums starts at
+    // +0.0 and adds wh * (±0.0) = ±0.0 terms, and round-to-nearest
+    // gives (+0.0) + (±0.0) = +0.0, so adding a literal +0.0 has the
+    // skipped product's bits — as long as the weights are finite: an
+    // inf or NaN weight times 0.0 is NaN, which the matvec would
+    // carry into z and the skip does not. The batched executor makes
+    // the same skip at t = 0. The backward is untouched: its Wh
+    // record with x = 0 still runs, since leaving it out could turn
+    // a -0.0 gradient element into +0.0.
     double *scratch = n.aux + 5 * hidden;
     matvecForward(wxv, xv, gates, 4 * hidden, in);
-    matvecForward(whv, hv, scratch, 4 * hidden, hidden);
-    for (int r = 0; r < 4 * hidden; ++r)
-        gates[r] = (gates[r] + scratch[r]) + bv[r];
+    if (std::all_of(hv, hv + hidden,
+                    [](double v) { return v == 0.0; })) {
+        for (int r = 0; r < 4 * hidden; ++r)
+            gates[r] = (gates[r] + 0.0) + bv[r];
+    } else {
+        matvecForward(whv, hv, scratch, 4 * hidden, hidden);
+        for (int r = 0; r < 4 * hidden; ++r)
+            gates[r] = (gates[r] + scratch[r]) + bv[r];
+    }
     // Gate activations and the state update, gate order [i f g o].
     for (int i = 0; i < hidden; ++i) {
         const double gi = 1.0 / (1.0 + std::exp(-gates[i]));

@@ -12,7 +12,11 @@
  * rounded individually, in k-ascending order, per row. Remainder
  * columns gather scalars into a vector (same arithmetic); remainder
  * rows run the plain scalar loop (a row's sum does not depend on the
- * blocking).
+ * blocking). The f64 forward is bound by that transpose, not by its
+ * arithmetic, so the lanes entry transposes each 4 x 4 block once
+ * and applies it to up to 8 vectors before moving on. Groups of up
+ * to 4 vectors, the single-vector f64 entry included, take two row
+ * blocks per pass for more independent add chains.
  *
  * The backward vectorization is *across columns*: a block of up to
  * 32 output columns is held in 8 ymm accumulators (8 independent add
@@ -46,57 +50,167 @@ namespace difftune::nn
 namespace
 {
 
+/**
+ * Columns k .. k+3 of the rows w[0..3] as four column vectors,
+ * c[j][i] = w[i][k + j]. Each 256-bit register is built from two
+ * 128-bit half loads (rows 0/2 and 1/3), so one in-lane unpack per
+ * column finishes the transpose: no cross-lane permute, whose
+ * latency and single shuffle port would bound the kernel.
+ */
+[[gnu::always_inline]] inline void
+transposeBlock(const double *const *w, int k, __m256d c[4])
+{
+    const auto halves = [](const double *lo, const double *hi) {
+        return _mm256_insertf128_pd(
+            _mm256_castpd128_pd256(_mm_loadu_pd(lo)), _mm_loadu_pd(hi),
+            1);
+    };
+    // a = [w0[k], w0[k+1], w2[k], w2[k+1]], b likewise for rows 1/3.
+    const __m256d a01 = halves(w[0] + k, w[2] + k);
+    const __m256d b01 = halves(w[1] + k, w[3] + k);
+    const __m256d a23 = halves(w[0] + k + 2, w[2] + k + 2);
+    const __m256d b23 = halves(w[1] + k + 2, w[3] + k + 2);
+    c[0] = _mm256_unpacklo_pd(a01, b01);
+    c[1] = _mm256_unpackhi_pd(a01, b01);
+    c[2] = _mm256_unpacklo_pd(a23, b23);
+    c[3] = _mm256_unpackhi_pd(a23, b23);
+}
+
+/**
+ * out[l][r .. r + 4 NB) = W[r .. r + 4 NB, :] x[l] for l < NL: NB
+ * blocks of 4 rows, each transposed once per 4 columns and applied
+ * to all NL vectors, NB x NL independent ymm accumulators (at most
+ * 8). Every accumulator lane adds its row's products one column at
+ * a time in k-ascending order with separate mul and add, which is
+ * the scalar kernel's operation sequence.
+ */
+template <int NB, int NL>
+[[gnu::always_inline]] inline void
+rowBlockLanes(const double *w, int r, int cols, const double *const *x,
+              double *const *out)
+{
+    static_assert(NB * NL <= 8, "accumulators must stay in registers");
+    const double *wr[4 * NB];
+#pragma GCC unroll 8
+    for (int i = 0; i < 4 * NB; ++i)
+        wr[i] = w + size_t(r + i) * cols;
+    __m256d acc[NB][NL];
+#pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b)
+#pragma GCC unroll 8
+        for (int l = 0; l < NL; ++l)
+            acc[b][l] = _mm256_setzero_pd();
+    int k = 0;
+    for (; k + 4 <= cols; k += 4) {
+        __m256d c[NB][4];
+#pragma GCC unroll 2
+        for (int b = 0; b < NB; ++b)
+            transposeBlock(wr + 4 * b, k, c[b]);
+#pragma GCC unroll 4
+        for (int j = 0; j < 4; ++j)
+#pragma GCC unroll 8
+            for (int l = 0; l < NL; ++l) {
+                const __m256d xv = _mm256_set1_pd(x[l][k + j]);
+#pragma GCC unroll 2
+                for (int b = 0; b < NB; ++b)
+                    acc[b][l] = _mm256_add_pd(
+                        acc[b][l], _mm256_mul_pd(c[b][j], xv));
+            }
+    }
+    for (; k < cols; ++k) {
+        __m256d col[NB];
+#pragma GCC unroll 2
+        for (int b = 0; b < NB; ++b)
+            col[b] = _mm256_set_pd(wr[4 * b + 3][k], wr[4 * b + 2][k],
+                                   wr[4 * b + 1][k], wr[4 * b][k]);
+#pragma GCC unroll 8
+        for (int l = 0; l < NL; ++l) {
+            const __m256d xv = _mm256_set1_pd(x[l][k]);
+#pragma GCC unroll 2
+            for (int b = 0; b < NB; ++b)
+                acc[b][l] = _mm256_add_pd(acc[b][l],
+                                          _mm256_mul_pd(col[b], xv));
+        }
+    }
+#pragma GCC unroll 8
+    for (int l = 0; l < NL; ++l)
+#pragma GCC unroll 2
+        for (int b = 0; b < NB; ++b)
+            _mm256_storeu_pd(out[l] + r + 4 * b, acc[b][l]);
+}
+
+/** A row outside the 4-row blocks: the scalar kernel's loop. */
+inline double
+rowDot(const double *wr, const double *x, int cols)
+{
+    double sum = 0;
+    for (int k = 0; k < cols; ++k)
+        sum += wr[k] * x[k];
+    return sum;
+}
+
+/**
+ * All rows of W against the NL vectors x[0 .. NL). Up to 4 vectors
+ * take two row blocks per pass, so even one vector has two
+ * independent add chains to hide the add latency.
+ */
+template <int NL>
+void
+lanesGroup(const double *w, const double *const *x, double *const *out,
+           int rows, int cols)
+{
+    int r = 0;
+    if constexpr (NL <= 4) {
+        for (; r + 8 <= rows; r += 8)
+            rowBlockLanes<2, NL>(w, r, cols, x, out);
+    }
+    for (; r + 4 <= rows; r += 4)
+        rowBlockLanes<1, NL>(w, r, cols, x, out);
+    for (; r < rows; ++r)
+        for (int l = 0; l < NL; ++l)
+            out[l][r] = rowDot(w + size_t(r) * cols, x[l], cols);
+}
+
 void
 avx2F64(const double *w, const double *x, double *out, int rows,
         int cols)
 {
-    int r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        const double *w0 = w + size_t(r) * cols;
-        const double *w1 = w0 + cols;
-        const double *w2 = w1 + cols;
-        const double *w3 = w2 + cols;
-        __m256d acc = _mm256_setzero_pd();
-        int k = 0;
-        for (; k + 4 <= cols; k += 4) {
-            const __m256d a0 = _mm256_loadu_pd(w0 + k);
-            const __m256d a1 = _mm256_loadu_pd(w1 + k);
-            const __m256d a2 = _mm256_loadu_pd(w2 + k);
-            const __m256d a3 = _mm256_loadu_pd(w3 + k);
-            // 4x4 transpose: col[j][lane] = w_lane[k + j].
-            const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
-            const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
-            const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
-            const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
-            const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-            const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-            const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-            const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-            // Separate mul/add per column, columns in k order: each
-            // lane rounds exactly like the scalar accumulator.
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c0, _mm256_set1_pd(x[k])));
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c1, _mm256_set1_pd(x[k + 1])));
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c2, _mm256_set1_pd(x[k + 2])));
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(c3, _mm256_set1_pd(x[k + 3])));
+    lanesGroup<1>(w, &x, &out, rows, cols);
+}
+
+void
+avx2LanesF64(const double *w, const double *const *x,
+             double *const *out, int lanes, int rows, int cols)
+{
+    for (int l0 = 0; l0 < lanes; l0 += 8) {
+        const double *const *xg = x + l0;
+        double *const *og = out + l0;
+        switch (lanes - l0) {
+        case 1:
+            lanesGroup<1>(w, xg, og, rows, cols);
+            break;
+        case 2:
+            lanesGroup<2>(w, xg, og, rows, cols);
+            break;
+        case 3:
+            lanesGroup<3>(w, xg, og, rows, cols);
+            break;
+        case 4:
+            lanesGroup<4>(w, xg, og, rows, cols);
+            break;
+        case 5:
+            lanesGroup<5>(w, xg, og, rows, cols);
+            break;
+        case 6:
+            lanesGroup<6>(w, xg, og, rows, cols);
+            break;
+        case 7:
+            lanesGroup<7>(w, xg, og, rows, cols);
+            break;
+        default:
+            lanesGroup<8>(w, xg, og, rows, cols);
+            break;
         }
-        for (; k < cols; ++k) {
-            const __m256d col =
-                _mm256_set_pd(w3[k], w2[k], w1[k], w0[k]);
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(col, _mm256_set1_pd(x[k])));
-        }
-        _mm256_storeu_pd(out + r, acc);
-    }
-    for (; r < rows; ++r) {
-        const double *wr = w + size_t(r) * cols;
-        double sum = 0;
-        for (int k = 0; k < cols; ++k)
-            sum += wr[k] * x[k];
-        out[r] = sum;
     }
 }
 
@@ -279,8 +393,8 @@ avx2OuterF64(double *grad, const double *const *dz,
             [&](size_t r) { return x[r]; });
 }
 
-const MatvecKernels avx2Kernels{avx2F64, avx2F32, avx2InputGradF64,
-                                avx2OuterF64, "avx2"};
+const MatvecKernels avx2Kernels{avx2F64, avx2LanesF64, avx2F32,
+                                avx2InputGradF64, avx2OuterF64, "avx2"};
 
 } // namespace
 

@@ -26,6 +26,13 @@ scalarF64(const double *w, const double *x, double *out, int rows,
 }
 
 void
+scalarLanesF64(const double *w, const double *const *x,
+               double *const *out, int lanes, int rows, int cols)
+{
+    matvecLanesScalarT(w, x, out, lanes, rows, cols);
+}
+
+void
 scalarF32(const float *w, const float *x, float *out, int rows,
           int cols)
 {
@@ -53,12 +60,12 @@ scalarOuterF64(double *grad, const double *const *dz,
             [&](size_t r) { return x[r]; });
 }
 
-const MatvecKernels scalarKernels{scalarF64, scalarF32,
-                                  scalarInputGradF64, scalarOuterF64,
-                                  "scalar"};
-const MatvecKernels forcedKernels{scalarF64, scalarF32,
-                                  scalarInputGradF64, scalarOuterF64,
-                                  "scalar (forced)"};
+const MatvecKernels scalarKernels{scalarF64, scalarLanesF64,
+                                  scalarF32, scalarInputGradF64,
+                                  scalarOuterF64, "scalar"};
+const MatvecKernels forcedKernels{scalarF64, scalarLanesF64,
+                                  scalarF32, scalarInputGradF64,
+                                  scalarOuterF64, "scalar (forced)"};
 
 const MatvecKernels &
 selectKernels()

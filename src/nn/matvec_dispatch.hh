@@ -1,7 +1,7 @@
 /**
  * @file
- * Runtime-dispatched matvec kernels: the forward W x and the two
- * halves of its f64 backward.
+ * Runtime-dispatched matvec kernels: the forward W x (for one vector
+ * or a group of them) and the two halves of its f64 backward.
  *
  * One process-wide selection, made on first use, routes every
  * kernel call (autograd engine, batched executor, snapshot
@@ -11,6 +11,12 @@
  *  - f64 / f32      out = W x. AVX2 vectorizes *across rows* (4 f64 /
  *                   8 f32 rows per 256-bit register) with each lane's
  *                   accumulation kept in k-ascending order.
+ *  - lanesF64       out_j = W x_j for several vectors x_j at once (the
+ *                   batched executor's lane groups). AVX2 transposes
+ *                   each 4 x 4 block of W once and applies it to up
+ *                   to 8 vectors, so a weight block is loaded once
+ *                   per group instead of once per vector; every out_j
+ *                   has the bits of the f64 entry run on x_j alone.
  *  - inputGradF64   xgrad += W^T dz, the input half of a matvec
  *                   backward.
  *  - outerF64       grad += sum_r dz_r x_r^T over an ordered list of
@@ -51,6 +57,16 @@ namespace difftune::nn
 /** out = W x (row-major W, rows x cols) in double precision. */
 using MatvecF64Fn = void (*)(const double *w, const double *x,
                              double *out, int rows, int cols);
+/**
+ * out[j] = W x[j] for j < lanes (row-major W, rows x cols; each x[j]
+ * has cols entries, each out[j] rows), every out[j] bit-identical to
+ * the f64 entry applied to x[j]. The out[j] must not overlap W, any
+ * x or each other.
+ */
+using MatvecLanesF64Fn = void (*)(const double *w,
+                                  const double *const *x,
+                                  double *const *out, int lanes,
+                                  int rows, int cols);
 /** out = W x in single precision. */
 using MatvecF32Fn = void (*)(const float *w, const float *x,
                              float *out, int rows, int cols);
@@ -73,6 +89,7 @@ using OuterF64Fn = void (*)(double *grad, const double *const *dz,
 struct MatvecKernels
 {
     MatvecF64Fn f64 = nullptr;
+    MatvecLanesF64Fn lanesF64 = nullptr;
     MatvecF32Fn f32 = nullptr;
     InputGradF64Fn inputGradF64 = nullptr;
     OuterF64Fn outerF64 = nullptr;

@@ -7,9 +7,9 @@
  *
  * Internal header: include only from nn/ translation units. Every
  * engine must run the *same* kernel so their results are
- * bit-identical by construction — matvecForwardT and the autograd
- * backward route through the one runtime dispatch point
- * (nn/matvec_dispatch.hh), which selects the scalar or the AVX2
+ * bit-identical by construction — matvecForwardT, matvecLanesT and
+ * the autograd backward route through the one runtime dispatch
+ * point (nn/matvec_dispatch.hh), which selects the scalar or the AVX2
  * implementation once per process. Both implementations keep each
  * element's accumulation in the reference order with no FMA
  * contraction, so the selection can never change results, only
@@ -99,6 +99,20 @@ matvecForwardScalarT(const T *__restrict w, const T *__restrict x,
 }
 
 /**
+ * Portable reference for the lanes entry: out[j] = W x[j], one
+ * matvecForwardScalarT call per vector, so each lane has the
+ * single-vector bits by construction.
+ */
+template <typename T>
+inline void
+matvecLanesScalarT(const T *w, const T *const *x, T *const *out,
+                   int lanes, int rows, int cols)
+{
+    for (int j = 0; j < lanes; ++j)
+        matvecForwardScalarT(w, x[j], out[j], rows, cols);
+}
+
+/**
  * Portable backward kernel body: out[k] += v(r)[k] * d(r) for
  * r = 0 .. count-1 in order, the d(r) == 0 terms skipped, for every
  * k < cols. Each kChunk-wide slice of out is loaded once,
@@ -160,6 +174,25 @@ matvecForwardT(const T *__restrict w, const T *__restrict x,
         matvecKernels().f32(w, x, out, rows, cols);
     else
         matvecForwardScalarT(w, x, out, rows, cols);
+}
+
+/**
+ * out[j] = W x[j] for j < lanes through the dispatch point: double
+ * takes the lanes entry (on AVX2 each weight block is loaded once
+ * per group of vectors), float one matvecForwardT call per vector.
+ * Either way out[j] has the bits of matvecForwardT on x[j].
+ */
+template <typename T>
+inline void
+matvecLanesT(const T *w, const T *const *x, T *const *out, int lanes,
+             int rows, int cols)
+{
+    if constexpr (std::is_same_v<T, double>) {
+        matvecKernels().lanesF64(w, x, out, lanes, rows, cols);
+    } else {
+        for (int j = 0; j < lanes; ++j)
+            matvecForwardT(w, x[j], out[j], rows, cols);
+    }
 }
 
 } // namespace difftune::nn

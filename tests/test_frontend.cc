@@ -573,6 +573,107 @@ TEST(FrontendDispatch, Avx2MatvecBitIdenticalToScalar)
 }
 
 /**
+ * The f64 lanes entry, AVX2 against the scalar lanes entry and
+ * against one single-vector call per lane (both paths). Lane counts
+ * cross the 8-lane group boundary; rows and columns cover every
+ * remainder class of the 4 x 4 blocks. Some lanes carry signed
+ * zeros, an inf or a NaN. Each lane holds at most one inf and one
+ * NaN, so no row sum ever adds two different NaNs, whose result
+ * would depend on operand order rather than on the kernel.
+ */
+TEST(FrontendDispatch, Avx2LanesBitIdenticalToScalar)
+{
+    const nn::MatvecKernels *avx2 = nn::matvecAvx2Kernels();
+    if (!avx2 || !nn::cpuSupportsAvx2())
+        GTEST_SKIP() << "AVX2 kernels unavailable on this host";
+    const nn::MatvecKernels &scalar = nn::matvecScalarKernels();
+
+    std::mt19937_64 rng(0x1a9e5);
+    std::normal_distribution<double> dist(0.0, 3.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const int lanes_set[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17};
+    const int rows_set[] = {1, 3, 4, 5, 8, 256};
+    const int cols_set[] = {1, 2, 3, 4, 5, 6, 7, 8,
+                            9, 17, 31, 32, 33, 64, 81};
+    for (int lanes : lanes_set) {
+        for (int rows : rows_set) {
+            for (int cols : cols_set) {
+                std::vector<double> w(size_t(rows) * size_t(cols));
+                for (double &v : w)
+                    v = dist(rng);
+                std::vector<std::vector<double>> xs(
+                    static_cast<size_t>(lanes));
+                for (size_t j = 0; j < xs.size(); ++j) {
+                    std::vector<double> &x = xs[j];
+                    x.resize(size_t(cols));
+                    // Lanes 1 and 2 mod 5: every third entry a signed
+                    // zero. Lane 2 mod 5: one inf; lane 3 mod 5: an
+                    // inf and a NaN. The period is prime to the group
+                    // width, so every group slot also sees finite
+                    // lanes, whose sums show any rounding change.
+                    for (size_t k = 0; k < x.size(); ++k) {
+                        x[k] = dist(rng);
+                        if ((j % 5 == 1 || j % 5 == 2) && k % 3 == 0)
+                            x[k] = k % 2 ? -0.0 : 0.0;
+                    }
+                    if (j % 5 == 2 || j % 5 == 3)
+                        x[rng() % x.size()] = rng() % 2 ? inf : -inf;
+                    if (j % 5 == 3)
+                        x[rng() % x.size()] = nan;
+                }
+                std::vector<const double *> xp;
+                for (const auto &x : xs)
+                    xp.push_back(x.data());
+                // Per-lane outputs: single-vector calls, the scalar
+                // lanes entry and the AVX2 lanes entry.
+                std::vector<double> one(size_t(lanes) * size_t(rows), 1.0);
+                std::vector<double> ref = one, got = one;
+                const auto lanePtrs = [&](std::vector<double> &buf) {
+                    std::vector<double *> ptrs;
+                    for (int j = 0; j < lanes; ++j)
+                        ptrs.push_back(buf.data() + size_t(j) * rows);
+                    return ptrs;
+                };
+                std::vector<double *> one_p = lanePtrs(one);
+                std::vector<double *> ref_p = lanePtrs(ref);
+                std::vector<double *> got_p = lanePtrs(got);
+                for (int j = 0; j < lanes; ++j)
+                    scalar.f64(w.data(), xp[size_t(j)],
+                               one_p[size_t(j)], rows, cols);
+                scalar.lanesF64(w.data(), xp.data(), ref_p.data(),
+                                lanes, rows, cols);
+                avx2->lanesF64(w.data(), xp.data(), got_p.data(), lanes,
+                               rows, cols);
+                // Zero lanes leave the buffers empty (and data() null,
+                // which memcmp must not see).
+                const size_t bytes = one.size() * sizeof(double);
+                EXPECT_TRUE(bytes == 0 ||
+                            std::memcmp(one.data(), ref.data(), bytes) == 0)
+                    << "scalar lanes diverged at " << lanes << " lanes, "
+                    << rows << "x" << cols;
+                EXPECT_TRUE(bytes == 0 ||
+                            std::memcmp(one.data(), got.data(), bytes) == 0)
+                    << "avx2 lanes diverged at " << lanes << " lanes, "
+                    << rows << "x" << cols;
+                // And the AVX2 single-vector entry lane by lane.
+                std::vector<double> single(static_cast<size_t>(rows));
+                for (int j = 0; j < lanes; ++j) {
+                    avx2->f64(w.data(), xp[size_t(j)], single.data(),
+                              rows, cols);
+                    EXPECT_EQ(0, std::memcmp(single.data(),
+                                             one_p[size_t(j)],
+                                             single.size() *
+                                                 sizeof(double)))
+                        << "avx2 f64 diverged at lane " << j << ", "
+                        << rows << "x" << cols;
+                }
+            }
+        }
+    }
+}
+
+/**
  * The two f64 backward entries, AVX2 against scalar, and both
  * against the plain one-pass-per-term loop they must equal. Signed
  * zeros appear in dz, in the values and in the starting gradient;

@@ -26,6 +26,7 @@
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
 #include "nn/batched.hh"
+#include "nn/modules.hh"
 #include "surrogate/model.hh"
 
 namespace difftune
@@ -210,6 +211,72 @@ TEST(NnBatched, SurrogateModeMatchesSequentialBitExact)
         const double expected = graph.scalarValue(
             model.forward(ctx, encoded[b], inputs));
         EXPECT_TRUE(sameBits(batched[b], expected)) << "block " << b;
+    }
+}
+
+/**
+ * The executor's lane groups: ragged batches of 7, 8, 9, 17 and 33
+ * lanes through a 2-layer stack, against one sequential Graph per
+ * lane, bit for bit. The sizes straddle the 8-lane groups, the
+ * ragged lengths make lanes drop out of a group mid-run, and the
+ * layer-0 steps mix embedding-table rows (taken from the
+ * precomputed projections, so the lane sits out the group's Wx
+ * call) with raw inputs. Widths 9 and 7 (28 gate rows) leave
+ * remainder columns in every matvec.
+ */
+TEST(NnBatched, LaneGroupsMatchSequentialBitExact)
+{
+    constexpr int dim = 9, hidden = 7, vocab = 13;
+    Rng rng(0x9a0e);
+    nn::ParamSet params;
+    const nn::Embedding embed(params, vocab, dim, rng);
+    const nn::LstmStack stack(params, dim, hidden, 2, rng);
+    nn::BatchedForward bf(params);
+    for (int batch : {7, 8, 9, 17, 33}) {
+        // Per lane and step: a table row, or -1 and a raw input.
+        const size_t lanes = size_t(batch);
+        std::vector<std::vector<int>> rows(lanes);
+        std::vector<std::vector<nn::Tensor>> raw(lanes);
+        bf.begin(dim);
+        for (int lane = 0; lane < batch; ++lane) {
+            const int len = int(rng.uniformInt(1, 6));
+            ASSERT_EQ(lane, bf.addLane(len));
+            for (int t = 0; t < len; ++t) {
+                nn::Tensor x(dim, 1);
+                int row = -1;
+                if (rng.uniformInt(0, 2) > 0) {
+                    row = int(rng.uniformInt(0, vocab - 1));
+                    bf.setInputParamRow(lane, t, 0, embed.tableIndex(),
+                                        row);
+                } else {
+                    x.uniformInit(rng, 1.0);
+                    bf.setInput(lane, t, 0, x.data.data(), dim);
+                }
+                rows[size_t(lane)].push_back(row);
+                raw[size_t(lane)].push_back(std::move(x));
+            }
+        }
+        bf.run(stack.batchedRef());
+
+        std::vector<double> got(static_cast<size_t>(hidden));
+        for (int lane = 0; lane < batch; ++lane) {
+            nn::Graph graph;
+            nn::Ctx ctx{graph, params, nullptr};
+            std::vector<nn::Var> sequence;
+            for (size_t t = 0; t < rows[size_t(lane)].size(); ++t) {
+                const int row = rows[size_t(lane)][t];
+                sequence.push_back(
+                    row >= 0 ? embed.forward(ctx, row)
+                             : graph.input(raw[size_t(lane)][t]));
+            }
+            const nn::TensorView want =
+                graph.value(stack.runSequence(ctx, sequence));
+            bf.finalHidden(lane, got.data());
+            for (int i = 0; i < hidden; ++i)
+                EXPECT_TRUE(sameBits(got[size_t(i)], want.data[i]))
+                    << "batch " << batch << ", lane " << lane
+                    << ", element " << i;
+        }
     }
 }
 

@@ -429,6 +429,38 @@ TEST(FusedEquivalence, LstmStackSequence)
     });
 }
 
+/**
+ * lstmStep skips the recurrent matvec when every h entry is zero.
+ * An explicit zero h — all +0.0, then with -0.0 entries — that is a
+ * trainable parameter must still match the unfused composition bit
+ * for bit: the value, and every gradient, h's own W^T dz and the Wh
+ * record with x = 0 included.
+ */
+TEST(FusedEquivalence, LstmStepZeroHidden)
+{
+    for (const bool negative : {false, true}) {
+        Rng rng(119);
+        ParamSet params;
+        LstmCell cell(params, 5, 6, rng);
+        const int h = params.add(6, 1);
+        const int c = params.add(6, 1);
+        params[c].uniformInit(rng, 1.0);
+        for (int i = 0; i < 6; ++i)
+            params[h].data[size_t(i)] = negative && i % 2 ? -0.0 : 0.0;
+        checkFusedUnfusedBits(params, [&](Graph &g, Ctx &ctx) {
+            Tensor xv(5, 1);
+            Rng data_rng(67);
+            xv.uniformInit(data_rng, 1.0);
+            const LstmCell::State zero{g.param(ctx.params, h, ctx.sink),
+                                       g.param(ctx.params, c, ctx.sink)};
+            const LstmCell::State next =
+                cell.step(ctx, g.input(xv), zero);
+            Rng probe_rng(71);
+            return probeLoss(g, g.concat({next.h, next.c}), probe_rng);
+        });
+    }
+}
+
 TEST(FusedEquivalence, ScaledSoftClampVsPrimitiveChain)
 {
     Rng rng(112);
