@@ -253,11 +253,8 @@ benchBlockPool()
 /**
  * The batched multi-block forward (nn/batched.hh) at batch sizes
  * 1/8/32, per block: the serving engine's per-shard execution mode.
- * Compare items/s against BM_SurrogateForward for the per-block win;
- * the f32 variant additionally runs the polynomial-transcendental
- * single-precision kernels (accuracy-gated, serving only).
+ * Compare items/s against BM_SurrogateForward for the per-block win.
  */
-template <nn::Precision P>
 void
 BM_SurrogatePredictBatch(benchmark::State &state)
 {
@@ -267,7 +264,7 @@ BM_SurrogatePredictBatch(benchmark::State &state)
     std::vector<const surrogate::EncodedBlock *> blocks;
     for (size_t i = 0; i < batch; ++i)
         blocks.push_back(&pool[i % pool.size()]);
-    nn::BatchedForward bf(model.params(), P);
+    nn::BatchedForward bf(model.params());
     std::vector<double> out;
     for (auto _ : state) {
         model.predictBatch(bf, blocks, {}, out);
@@ -276,14 +273,7 @@ BM_SurrogatePredictBatch(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(batch));
 }
-BENCHMARK(BM_SurrogatePredictBatch<nn::Precision::kF64>)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32);
-BENCHMARK(BM_SurrogatePredictBatch<nn::Precision::kF32>)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32);
+BENCHMARK(BM_SurrogatePredictBatch)->Arg(1)->Arg(8)->Arg(32);
 
 /** One sample's forward+backward in @p g; returns the loss. */
 double

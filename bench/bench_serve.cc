@@ -10,8 +10,7 @@
  * together: the raw-text and canonical LRU caches (repeat blocks
  * skip parsing / the LSTM entirely), within-batch deduplication, the
  * batched forward executor (nn/batched.hh: no tape, shared weight
- * reads, per-token input projections, instruction-hidden reuse),
- * and — in the second engine row — the f32 serving mode.
+ * reads, per-token input projections, instruction-hidden reuse).
  *
  * Serving API v2 additions: a resident-weight-bytes table showing
  * what the shared WeightSnapshot deduplicates versus the pre-v2
@@ -23,9 +22,7 @@
  * Floors (see docs/BENCHMARKS.md): the f64 engine must serve
  * bit-exactly at >= 3x over naive; under --smoke the speedup must
  * additionally reach >= 10x (the PR-4 batched-execution floor,
- * enforced by the CI bench-smoke job), the f32 engine must stay
- * within 1e-5 relative error of the double reference, and on >= 2
- * cores the multi-client aggregate must beat single-caller by
+ * enforced by the CI bench-smoke job), and on >= 2 cores the multi-client aggregate must beat single-caller by
  * >= 1.5x (skipped, not failed, on 1-core runners). The telemetry
  * layer (src/obs/) adds two more checks: the instrumented warm path
  * must stay within 5% of an engine built with the obs kill switch
@@ -64,7 +61,6 @@ using namespace difftune;
 
 /** CI floors under --smoke (docs/BENCHMARKS.md). */
 constexpr double smokeSpeedupFloor = 10.0;
-constexpr double f32RelErrGate = 1e-5;
 /**
  * Multi-client floor: concurrent async submission must beat
  * single-caller submission by this much in aggregate. Only enforced
@@ -177,8 +173,7 @@ main(int argc, char **argv)
             std::cout << "matvec kernel: " << nn::matvecPathName()
                       << " (DIFFTUNE_FORCE_SCALAR pins scalar)\n\n";
 
-            // ---- Throughput: naive vs the batched engine in both
-            // serving precisions, against one shared naive pass. The
+            // ---- Throughput: naive vs the batched engine. The
             // working set is a fraction of the corpus, as at a
             // serving endpoint where a hot subset dominates the
             // traffic.
@@ -193,12 +188,6 @@ main(int argc, char **argv)
                 serve::runNaive(engine, workload);
             const auto timing =
                 serve::engineVsNaive(engine, workload, naive);
-
-            serve::AsyncConfig f32cfg;
-            f32cfg.precision = nn::Precision::kF32;
-            serve::AsyncEngine engine32(artifact, f32cfg);
-            const auto timing32 = serve::engineVsNaive(
-                engine32, workload, naive, 250, f32RelErrGate);
 
             const auto &stats = engine.stats();
             TextTable table2({"Path", "Throughput", "Notes"});
@@ -219,17 +208,6 @@ main(int argc, char **argv)
                            fmtDouble(timing.speedup(), 1) + "x",
                            smoke ? "smoke floor: 10x"
                                  : "floor: 3x (BENCHMARKS.md)"});
-            table2.addRow(
-                {"engine (batched f32)",
-                 fmtDouble(double(requests) / timing32.engineSeconds,
-                           0) +
-                     " blk/s",
-                 "max rel err " +
-                     fmtDouble(timing32.maxRelErr * 1e6, 2) +
-                     "e-6 (gate 1e-5)"});
-            table2.addRow({"speedup (f32)",
-                           fmtDouble(timing32.speedup(), 1) + "x",
-                           "accuracy-gated serving mode"});
             std::cout << table2.render();
             std::cout << "(" << workload.size() << " requests over "
                       << unique << " unique blocks)\n";
@@ -538,30 +516,22 @@ main(int argc, char **argv)
             }
 
             // ---- Serving API v2: shared snapshot memory and the
-            // multi-threaded client mode. Both engines above were
-            // built from one loaded artifact, so at this point ONE
-            // WeightSnapshot is serving the f64 and the f32 engine:
-            // the f32 panels and input projections — per *shard*
-            // copies pre-v2 — and the per-opcode columns — per
-            // *engine* pre-v2 — are each resident exactly once.
+            // multi-threaded client mode. The engine's shards all
+            // borrow ONE WeightSnapshot: the input projections —
+            // per *shard* copies pre-v2 — and the per-opcode
+            // columns are each resident exactly once.
             const nn::WeightSnapshot &snapshot =
                 engine.snapshot();
-            // Pre-v2, each f64 shard held its own f64 projections
-            // and each f32 shard its own f32 panels + f32
-            // projections; the per-opcode columns were per engine.
             const size_t pre_v2 =
-                size_t(engine.workers()) * snapshot.projBytesF64() +
-                size_t(engine32.workers()) *
-                    (snapshot.f32Bytes() + snapshot.projBytesF32()) +
-                2 * snapshot.inputColumnBytes();
+                size_t(engine.workers()) * snapshot.projBytes() +
+                snapshot.inputColumnBytes();
             TextTable mem({"Resident weight bytes", "Value"});
             mem.addRow({"frozen f64 weights (in place)",
                         std::to_string(snapshot.f64Bytes())});
             mem.addRow({"derived, pre-v2 layout (per-shard copies, "
                         "per-engine cols)",
                         std::to_string(pre_v2)});
-            mem.addRow({"derived, v2 (1 shared snapshot, both "
-                        "engines)",
+            mem.addRow({"derived, v2 (1 shared snapshot)",
                         std::to_string(snapshot.sharedBytes())});
             std::cout << mem.render();
 
@@ -677,7 +647,7 @@ main(int argc, char **argv)
                 return;
             }
             const auto clients = serve::compareAsyncClients(
-                artifact, workload, threads, &naive);
+                artifact, workload, threads, naive);
             TextTable table3({"Submission", "Throughput", "Notes"});
             table3.addRow(
                 {"single caller (predict, 1 thread)",
@@ -729,7 +699,7 @@ main(int argc, char **argv)
             serve::AsyncConfig pool_cfg;
             pool_cfg.workers = pool_workers;
             const auto pooled = serve::compareAsyncClients(
-                artifact, workload, threads, &naive, pool_cfg);
+                artifact, workload, threads, naive, pool_cfg);
             TextTable table4({"Worker pool", "Throughput", "Notes"});
             table4.addRow(
                 {std::to_string(engine.workers()) +

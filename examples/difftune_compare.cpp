@@ -4,7 +4,7 @@
  * src/compare/ (docs/COMPARE.md).
  *
  *   difftune_compare snapshot <out.preds>
- *       (--ckpt PATH [--workers N] [--f32]
+ *       (--ckpt PATH [--workers N]
  *        | --daemon PORT [--host H] [--model NAME])
  *       [--corpus gen:<count>:<seed>|file:<path>]
  *       Run the checkpoint (or a live difftuned daemon) over the
@@ -14,7 +14,7 @@
  *       Diff two artifacts; print the report (human table, or JSON
  *       with --json) and exit with the classification code.
  *   difftune_compare check <ref.preds>
- *       (--ckpt PATH [--workers N] [--f32]
+ *       (--ckpt PATH [--workers N]
  *        | --daemon PORT [--host H] [--model NAME])
  *       [--tolerance X] [--json]
  *       Snapshot the live engine over the reference artifact's own
@@ -81,8 +81,6 @@ struct EngineArgs
         } else if (arg == "--workers") {
             fatal_if(i + 1 >= argc, "--workers needs a count");
             options.workers = std::stoi(argv[++i]);
-        } else if (arg == "--f32") {
-            options.precision = nn::Precision::kF32;
         } else {
             return false;
         }

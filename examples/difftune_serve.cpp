@@ -9,26 +9,21 @@
  *   difftune_serve save-ithemal <uarch> <out.ckpt> [corpus_size]
  *       Train the Ithemal baseline and save a model-only checkpoint.
  *   difftune_serve info <ckpt> [--json]
- *       Print the checkpoint's sections, dimensions, weight
- *       precision and the serving memory footprint (the derived
- *       bytes all workers share through one WeightSnapshot),
- *       followed by the full /statsz telemetry dump of the probe
- *       (--json renders the dump as JSON).
+ *       Print the checkpoint's sections, dimensions and the serving
+ *       memory footprint (the derived bytes all workers share
+ *       through one WeightSnapshot), followed by the full /statsz
+ *       telemetry dump of the probe (--json renders the dump as
+ *       JSON).
  *   difftune_serve predict <ckpt> <block.s|->...
  *       Load the checkpoint once and predict each block file's
  *       timing (one result line per file; '-' reads stdin). Printed
  *       with 17 significant digits so values can be compared
  *       bit-exactly across processes.
- *   difftune_serve convert <in.ckpt> <out.ckpt> [f32|f64]
- *       Re-encode a checkpoint's model weights (default f32: a
- *       half-size serving-only artifact; see
- *       docs/CHECKPOINT_FORMAT.md for the format-version semantics).
- *   difftune_serve bench <ckpt> [requests] [unique_blocks] [--f32]
+ *   difftune_serve bench <ckpt> [requests] [unique_blocks]
  *                        [--threads N] [--json]
  *       Measure cold-load latency, batched-engine vs naive
- *       throughput, cache-counter and shared-snapshot stats on a
- *       skewed synthetic workload; --f32 serves the engine pass in
- *       the accuracy-gated float mode, --threads N adds the
+ *       throughput (bit-checked), cache-counter and shared-snapshot
+ *       stats on a skewed synthetic workload; --threads N adds the
  *       multi-threaded async client mode (N concurrent submitters
  *       vs one synchronous caller, with latency percentiles). Ends
  *       with the full /statsz telemetry dump — per-stage latency
@@ -203,9 +198,8 @@ cmdInfo(int argc, char **argv)
                   << ", block layers " << cfg.blockLayers
                   << ", paramDim " << cfg.paramDim << ", vocab "
                   << ckpt.vocabSize << ", "
-                  << ckpt.model->params().scalarCount() << " "
-                  << nn::precisionName(ckpt.weightPrecision)
-                  << " weights\n";
+                  << ckpt.model->params().scalarCount()
+                  << " f64 weights\n";
     }
     if (ckpt.dist)
         std::cout << "  sampling distribution: present\n";
@@ -255,42 +249,13 @@ cmdPredict(int argc, char **argv)
 }
 
 int
-cmdConvert(int argc, char **argv)
-{
-    fatal_if(argc < 4, "usage: convert <in.ckpt> <out.ckpt> "
-                       "[f32|f64]");
-    const std::string mode = argc > 4 ? argv[4] : "f32";
-    fatal_if(mode != "f32" && mode != "f64",
-             "unknown weight precision '{}' (expected f32 or f64)",
-             mode);
-    io::Checkpoint ckpt = io::loadCheckpoint(argv[2]);
-    fatal_if(!ckpt.model, "'{}' carries no model to convert",
-             argv[2]);
-    io::saveCheckpoint(argv[3], ckpt.model.get(),
-                       ckpt.dist ? &*ckpt.dist : nullptr,
-                       ckpt.table ? &*ckpt.table : nullptr,
-                       mode == "f32" ? nn::Precision::kF32
-                                     : nn::Precision::kF64);
-    std::cout << argv[2] << " ("
-              << std::filesystem::file_size(argv[2]) << " bytes, "
-              << nn::precisionName(ckpt.weightPrecision) << ") -> "
-              << argv[3] << " ("
-              << std::filesystem::file_size(argv[3]) << " bytes, "
-              << mode << ")\n";
-    return 0;
-}
-
-int
 cmdBench(int argc, char **argv)
 {
-    bool f32 = false;
     bool json = false;
     int threads = 0;
     std::vector<char *> args;
     for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--f32") {
-            f32 = true;
-        } else if (std::string(argv[i]) == "--json") {
+        if (std::string(argv[i]) == "--json") {
             json = true;
         } else if (std::string(argv[i]) == "--threads") {
             fatal_if(i + 1 >= argc, "--threads needs a count");
@@ -301,19 +266,16 @@ cmdBench(int argc, char **argv)
         }
     }
     fatal_if(args.size() < 3,
-             "usage: bench <ckpt> [requests] [unique] [--f32] "
-             "[--threads N] [--json]");
+             "usage: bench <ckpt> [requests] [unique] [--threads N] "
+             "[--json]");
     const std::string path = args[2];
     const size_t requests =
         args.size() > 3 ? std::stoul(args[3]) : 4000;
     const size_t unique = args.size() > 4 ? std::stoul(args[4]) : 400;
 
-    serve::AsyncConfig cfg;
-    if (f32)
-        cfg.precision = nn::Precision::kF32;
     const auto load_begin = std::chrono::steady_clock::now();
     const io::ModelSnapshot artifact = io::loadModelSnapshot(path);
-    serve::AsyncEngine engine(artifact, cfg);
+    serve::AsyncEngine engine(artifact);
     const auto load_end = std::chrono::steady_clock::now();
     const double load_ms =
         1e3 * serve::secondsBetween(load_begin, load_end);
@@ -325,12 +287,11 @@ cmdBench(int argc, char **argv)
         corpus, requests, corpus.size(), 0x5e77e);
 
     // Naive (fresh double graph per request) vs the batched engine,
-    // waves of requests as at a serving endpoint (serve/workload.hh).
-    // The f32 engine is accuracy-gated rather than bit-gated. One
-    // naive pass serves both this comparison and the client mode.
+    // waves of requests as at a serving endpoint (serve/workload.hh),
+    // bit-checked. One naive pass serves both this comparison and the
+    // client mode.
     const serve::NaiveRun naive = serve::runNaive(engine, workload);
-    const auto timing = serve::engineVsNaive(
-        engine, workload, naive, 250, f32 ? 1e-5 : 0.0);
+    const auto timing = serve::engineVsNaive(engine, workload, naive);
 
     const auto &stats = engine.stats();
     std::cout << "workload: " << workload.size() << " requests over "
@@ -340,9 +301,8 @@ cmdBench(int argc, char **argv)
               << " blocks/s\n"
               << "engine: "
               << fmtDouble(double(requests) / timing.engineSeconds, 0)
-              << " blocks/s ("
-              << nn::precisionName(engine.precision()) << ", "
-              << engine.workers() << " workers, speedup "
+              << " blocks/s (" << engine.workers()
+              << " workers, speedup "
               << fmtDouble(timing.speedup(), 1) << "x)\n"
               << "stats:  " << stats.requests.load() << " requests, "
               << stats.textHits.load() << " raw-text hits / "
@@ -360,26 +320,17 @@ cmdBench(int argc, char **argv)
               << "shared snapshot: "
               << engine.sharedWeightBytes()
               << " derived bytes resident once (pre-v2 layout: "
-              << (engine.snapshot().f32Bytes() +
-                  engine.snapshot().projBytes()) *
-                     size_t(engine.workers()) +
+              << engine.snapshot().projBytes() * size_t(engine.workers()) +
                      engine.snapshot().inputColumnBytes()
               << ")\n";
-    if (f32)
-        std::cout << "max rel err vs double: "
-                  << fmtDouble(timing.maxRelErr * 1e6, 2)
-                  << "e-6 (gate 1e-5)\n";
 
     if (threads > 0) {
         // Client mode: N concurrent threads submitting through the
         // micro-batcher vs one synchronous caller (bit-checked
-        // against the naive pass in f64). --threads 1 is allowed
-        // and measures the micro-batcher's single-client overhead.
-        serve::AsyncConfig acfg;
-        acfg.precision = cfg.precision;
+        // against the naive pass). --threads 1 is allowed and
+        // measures the micro-batcher's single-client overhead.
         const auto clients = serve::compareAsyncClients(
-            artifact, workload, threads,
-            f32 ? nullptr : &naive, acfg);
+            artifact, workload, threads, naive);
         std::cout
             << "single caller: "
             << fmtDouble(double(requests) / clients.singleSeconds, 0)
@@ -404,8 +355,7 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::cerr << "usage: difftune_serve "
-                     "<save|save-ithemal|info|predict|convert|"
-                     "bench> ...\n";
+                     "<save|save-ithemal|info|predict|bench> ...\n";
         return 2;
     }
     const std::string command = argv[1];
@@ -418,8 +368,6 @@ main(int argc, char **argv)
             return cmdInfo(argc, argv);
         if (command == "predict")
             return cmdPredict(argc, argv);
-        if (command == "convert")
-            return cmdConvert(argc, argv);
         if (command == "bench")
             return cmdBench(argc, argv);
         std::cerr << "unknown command '" << command << "'\n";

@@ -6,7 +6,7 @@
  * runs exactly that loop: save-tiny -> serve -> client -> SIGTERM).
  *
  *   difftuned serve <name>=<ckpt>... [--port N] [--port-file PATH]
- *                   [--workers N] [--f32]
+ *                   [--workers N]
  *       Load each checkpoint under its model name and serve them on
  *       loopback TCP (docs/SERVING.md documents the wire protocol;
  *       --port 0, the default, binds an ephemeral port and
@@ -103,15 +103,13 @@ cmdServe(int argc, char **argv)
         } else if (arg == "--workers") {
             fatal_if(i + 1 >= argc, "--workers needs a count");
             cfg.registry.engine.workers = std::stoi(argv[++i]);
-        } else if (arg == "--f32") {
-            cfg.registry.engine.precision = nn::Precision::kF32;
         } else {
             models.push_back(splitModelArg(arg));
         }
     }
     fatal_if(models.empty(),
              "usage: serve <name>=<ckpt>... [--port N] "
-             "[--port-file PATH] [--workers N] [--f32]");
+             "[--port-file PATH] [--workers N]");
 
     // The self-pipe must exist before the daemon can race a signal.
     fatal_if(::pipe(signalPipe) != 0, "pipe(): self-pipe failed");

@@ -9,8 +9,10 @@
  *   bit-exact         identical IEEE-754 bit patterns
  *   within-tolerance  both finite, symmetric relative error
  *                     |a-b| / max(|a|,|b|) <= tolerance (default
- *                     1e-5 — the repo's f32 accuracy gate); the
- *                     +0.0 / -0.0 pair lands here (rel error 0)
+ *                     1e-5: room for rounding-level drift such as
+ *                     another libm, while a changed weight or a
+ *                     broken kernel still diverges); the +0.0 /
+ *                     -0.0 pair lands here (rel error 0)
  *   diverged          relative error above tolerance, or either
  *                     value NaN/Inf with differing bits (a
  *                     non-finite value never gets tolerance credit)
@@ -57,8 +59,9 @@ const char *diffClassName(DiffClass cls);
 struct CompareConfig
 {
     /** Symmetric relative-error bound for within-tolerance; the
-     *  default is the repo's 1e-5 f32 accuracy gate. The boundary
-     *  is inclusive: rel == tolerance classifies as within. */
+     *  1e-5 default admits rounding-level drift (e.g. another libm)
+     *  and nothing larger. The boundary is inclusive: rel ==
+     *  tolerance classifies as within. */
     double tolerance = 1e-5;
 };
 

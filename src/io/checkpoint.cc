@@ -24,21 +24,12 @@ ChunkWriter::add(std::string_view tag, std::string payload)
     chunks_.push_back(Chunk{std::string(tag), std::move(payload)});
 }
 
-void
-ChunkWriter::requireVersion(uint32_t version)
-{
-    panic_if(version < 1 || version > kind_.maxVersion,
-             "requireVersion: {} outside the writable range [1, {}]",
-             version, kind_.maxVersion);
-    version_ = std::max(version_, version);
-}
-
 std::string
 ChunkWriter::serialize() const
 {
     ByteWriter writer;
     writer.bytes(std::string_view(kind_.magic, 8));
-    writer.u32(version_);
+    writer.u32(kind_.maxVersion);
     writer.u32(uint32_t(chunks_.size()));
     for (const Chunk &chunk : chunks_) {
         writer.bytes(chunk.tag);
@@ -168,43 +159,6 @@ decodeParamSet(std::string_view payload, nn::ParamSet &params)
                  i, rows, cols, tensor.rows, tensor.cols);
         for (double &v : tensor.data)
             v = reader.f64();
-    }
-    reader.expectEnd();
-}
-
-std::string
-encodeParamSetF32(const nn::ParamSet &params)
-{
-    ByteWriter writer;
-    writer.u64(params.count());
-    for (size_t i = 0; i < params.count(); ++i) {
-        const nn::Tensor &tensor = params[int(i)];
-        writer.i32(tensor.rows);
-        writer.i32(tensor.cols);
-        for (double v : tensor.data)
-            writer.f32(float(v));
-    }
-    return writer.take();
-}
-
-void
-decodeParamSetF32(std::string_view payload, nn::ParamSet &params)
-{
-    ByteReader reader(payload, "f32 weights chunk");
-    const uint64_t count = reader.u64();
-    fatal_if(count != params.count(),
-             "f32 weights chunk has {} tensors, model expects {}",
-             count, params.count());
-    for (size_t i = 0; i < params.count(); ++i) {
-        nn::Tensor &tensor = params[int(i)];
-        const int32_t rows = reader.i32();
-        const int32_t cols = reader.i32();
-        fatal_if(rows != tensor.rows || cols != tensor.cols,
-                 "f32 weights chunk tensor {} is {}x{}, model "
-                 "expects {}x{}",
-                 i, rows, cols, tensor.rows, tensor.cols);
-        for (double &v : tensor.data)
-            v = double(reader.f32());
     }
     reader.expectEnd();
 }
@@ -374,7 +328,7 @@ expectedModelScalars(const surrogate::ModelConfig &config, size_t vocab)
 void
 saveCheckpoint(const std::string &path, const surrogate::Model *model,
                const params::SamplingDist *dist,
-               const params::ParamTable *table, nn::Precision weights)
+               const params::ParamTable *table)
 {
     panic_if(!model && !dist && !table,
              "refusing to save an empty checkpoint");
@@ -383,17 +337,7 @@ saveCheckpoint(const std::string &path, const surrogate::Model *model,
         writer.add(tagModelConfig,
                    encodeModelConfig(model->config(),
                                      isa::theVocab().size()));
-        if (weights == nn::Precision::kF32) {
-            // The f32 weights chunk is a version-2 feature; stamping
-            // the file v2 makes old readers reject it cleanly
-            // instead of failing on the unknown tag's absence.
-            writer.add(tagModelWeightsF32,
-                       encodeParamSetF32(model->params()));
-            writer.requireVersion(2);
-        } else {
-            writer.add(tagModelWeights,
-                       encodeParamSet(model->params()));
-        }
+        writer.add(tagModelWeights, encodeParamSet(model->params()));
     }
     if (dist)
         writer.add(tagSamplingDist, encodeSamplingDist(*dist));
@@ -437,14 +381,9 @@ loadCheckpoint(const std::string &path)
 {
     const ChunkReader reader = ChunkReader::fromFile(path);
     Checkpoint checkpoint;
-    const bool has_f64 = reader.has(tagModelWeights);
-    const bool has_f32 = reader.has(tagModelWeightsF32);
-    fatal_if(has_f64 && has_f32,
-             "checkpoint '{}': corrupt: both f64 and f32 weight "
-             "chunks",
-             path);
+    const bool has_weights = reader.has(tagModelWeights);
     if (reader.has(tagModelConfig)) {
-        fatal_if(!has_f64 && !has_f32,
+        fatal_if(!has_weights,
                  "checkpoint '{}': has a model config but no weights",
                  path);
         const surrogate::ModelConfig config =
@@ -456,29 +395,21 @@ loadCheckpoint(const std::string &path)
         // Bound the Model allocation by the weights actually on disk
         // before constructing it — a crafted config chunk must not be
         // able to demand terabytes the weights chunk does not hold.
-        const char *weights_tag =
-            has_f64 ? tagModelWeights : tagModelWeightsF32;
-        const std::string_view weights = reader.payload(weights_tag);
+        const std::string_view weights =
+            reader.payload(tagModelWeights);
         const double expected =
             expectedModelScalars(config, checkpoint.vocabSize);
-        const double scalar_bytes = has_f64 ? 8.0 : 4.0;
-        fatal_if(expected * scalar_bytes > double(weights.size()),
+        fatal_if(expected * sizeof(double) > double(weights.size()),
                  "checkpoint '{}': corrupt: model config implies {} "
                  "weight scalars but chunk '{}' holds {} bytes",
-                 path, expected, weights_tag, weights.size());
+                 path, expected, tagModelWeights, weights.size());
         checkpoint.model = std::make_unique<surrogate::Model>(
             config, checkpoint.vocabSize);
-        decodeChunk(path, weights_tag, [&] {
-            if (has_f64) {
-                decodeParamSet(weights, checkpoint.model->params());
-            } else {
-                decodeParamSetF32(weights,
-                                  checkpoint.model->params());
-                checkpoint.weightPrecision = nn::Precision::kF32;
-            }
+        decodeChunk(path, tagModelWeights, [&] {
+            decodeParamSet(weights, checkpoint.model->params());
         });
     } else {
-        fatal_if(has_f64 || has_f32,
+        fatal_if(has_weights,
                  "checkpoint '{}': has model weights but no config",
                  path);
     }

@@ -7,7 +7,7 @@
  * see io/serialize.hh):
  *
  *     magic   "DTCHKPT\0"                    8 bytes
- *     u32     format version (1, or 2 with an f32 weights chunk)
+ *     u32     format version (1)
  *     u32     chunk count
  *     chunk*  [ tag (4 bytes) | u64 payload size | payload
  *               | u32 CRC-32 of payload ]
@@ -26,14 +26,11 @@
  * input normalizer when serving a paramDim > 0 surrogate), and a
  * learned params::ParamTable. Round trips are bit-exact.
  *
- * Model weights come in two encodings: "WTS0" (doubles — training
- * checkpoints, bit-exact) and "WF32" (floats — serving-only
- * artifacts at half the size, written by saveCheckpoint with
- * nn::Precision::kF32). A file with a WF32 chunk is stamped format
- * version 2, so version-1 readers reject it at load instead of
- * misreading it; files without one keep version 1 for backward
- * compatibility. See docs/CHECKPOINT_FORMAT.md for the payload
- * schemas and the exact rejection behavior.
+ * Model weights have one encoding, "WTS0" (doubles, bit-exact).
+ * Version 2, which added a float weights chunk, is retired: this
+ * build reads and writes version 1 only, so a leftover version-2
+ * file fails the version gate instead of being half loaded. See docs/CHECKPOINT_FORMAT.md for the payload schemas and
+ * the exact rejection behavior.
  */
 
 #ifndef DIFFTUNE_IO_CHECKPOINT_HH
@@ -55,17 +52,15 @@ inline constexpr char checkpointMagic[8] = {'D', 'T', 'C', 'H',
                                             'K', 'P', 'T', '\0'};
 
 /**
- * Newest container format version this build reads and writes.
- * Writers stamp the *lowest* version whose feature set the file
- * actually uses (see ChunkWriter::requireVersion), so old readers
- * only reject files they genuinely cannot decode.
+ * The container format version this build reads and writes. Version
+ * 2 (the retired float weights chunk) is rejected; the next format
+ * change must take version 3.
  */
-inline constexpr uint32_t checkpointVersion = 2;
+inline constexpr uint32_t checkpointVersion = 1;
 
 /** Well-known chunk tags. */
 inline constexpr const char *tagModelConfig = "MCFG";
 inline constexpr const char *tagModelWeights = "WTS0";
-inline constexpr const char *tagModelWeightsF32 = "WF32"; ///< v2+
 inline constexpr const char *tagParamTable = "PTBL";
 inline constexpr const char *tagSamplingDist = "DIST";
 
@@ -102,13 +97,6 @@ class ChunkWriter
     /** Append a chunk; @p tag must be exactly 4 characters. */
     void add(std::string_view tag, std::string payload);
 
-    /**
-     * Declare that the file needs at least format @p version (e.g.
-     * 2 when a WF32 chunk is present). The header carries the
-     * maximum declared; default 1.
-     */
-    void requireVersion(uint32_t version);
-
     /** Serialize header + all chunks. */
     std::string serialize() const;
 
@@ -123,7 +111,6 @@ class ChunkWriter
     };
 
     ContainerKind kind_;
-    uint32_t version_ = 1;
     std::vector<Chunk> chunks_;
 };
 
@@ -179,16 +166,6 @@ std::string encodeParamSet(const nn::ParamSet &params);
  */
 void decodeParamSet(std::string_view payload, nn::ParamSet &params);
 
-/**
- * Encode all tensors of @p params narrowed to f32 (the WF32 chunk:
- * half the bytes; serving-only precision). Narrow-then-widen round
- * trips reproduce the narrowed values exactly.
- */
-std::string encodeParamSetF32(const nn::ParamSet &params);
-
-/** Decode weights encoded by encodeParamSetF32 (shapes must match). */
-void decodeParamSetF32(std::string_view payload, nn::ParamSet &params);
-
 std::string encodeParamTable(const params::ParamTable &table);
 params::ParamTable decodeParamTable(std::string_view payload);
 
@@ -208,29 +185,16 @@ struct Checkpoint
     std::optional<params::SamplingDist> dist;
     /** Learned simulator parameter table. */
     std::optional<params::ParamTable> table;
-    /**
-     * Encoding the weights were stored in. kF32 weights load as
-     * float-valued doubles: serving them through an f32 engine is
-     * bit-identical to serving the original f64 checkpoint through
-     * one, but double-precision results will differ slightly from
-     * the original's — an f32 file is a serving artifact, not a
-     * training checkpoint.
-     */
-    nn::Precision weightPrecision = nn::Precision::kF64;
 };
 
 /**
  * Save a checkpoint to @p path. Null/absent sections are omitted; at
- * least one section must be present. @p weights selects the model
- * weight encoding: kF64 writes a bit-exact (v1) file, kF32 writes a
- * half-size serving-only (v2) file — see Checkpoint::weightPrecision
- * for the semantics.
+ * least one section must be present.
  */
 void saveCheckpoint(const std::string &path,
                     const surrogate::Model *model,
                     const params::SamplingDist *dist,
-                    const params::ParamTable *table,
-                    nn::Precision weights = nn::Precision::kF64);
+                    const params::ParamTable *table);
 
 /** Convenience: table-only checkpoint (tuner artifacts). */
 void saveTableCheckpoint(const std::string &path,

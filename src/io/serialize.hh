@@ -57,9 +57,6 @@ class ByteWriter
     /** IEEE-754 bit pattern; bit-exact round trip. */
     void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
 
-    /** Single-precision IEEE-754 bit pattern (f32 weight chunks). */
-    void f32(float v) { u32(std::bit_cast<uint32_t>(v)); }
-
     void bytes(std::string_view v) { data_.append(v); }
 
     /** Length-prefixed string. */
@@ -122,8 +119,6 @@ class ByteReader
     int32_t i32() { return int32_t(u32()); }
 
     double f64() { return std::bit_cast<double>(u64()); }
-
-    float f32() { return std::bit_cast<float>(u32()); }
 
     std::string_view
     bytes(size_t n)

@@ -29,7 +29,6 @@ makeModelSnapshot(Checkpoint &&checkpoint)
     if (checkpoint.table)
         snapshot.table = std::make_shared<const params::ParamTable>(
             std::move(*checkpoint.table));
-    snapshot.weightPrecision = checkpoint.weightPrecision;
     snapshot.weights = surrogate::makeWeightSnapshot(snapshot.model);
     return snapshot;
 }

@@ -11,7 +11,7 @@
  * the table/distribution sections the DiffTune surrogate needs.
  * Load a file once with loadModelSnapshot and construct as many
  * serve::AsyncEngine instances from it as you like; they share one
- * copy of the weights and every derived panel.
+ * copy of the weights and every derived table.
  *
  * Validation here covers what any consumer needs (a model must be
  * present and match the process vocabulary); surrogate-specific
@@ -42,8 +42,6 @@ struct ModelSnapshot
     std::shared_ptr<const params::SamplingDist> dist;
     /** Learned simulator parameter table. */
     std::shared_ptr<const params::ParamTable> table;
-    /** Encoding the weights were stored in (see Checkpoint). */
-    nn::Precision weightPrecision = nn::Precision::kF64;
     /**
      * The model's weights as one shareable snapshot (owns a
      * reference to the model). Engines bind their executors to this

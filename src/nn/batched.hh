@@ -1,8 +1,7 @@
 /**
  * @file
  * Batched multi-block forward inference: the serving-side execution
- * mode of the nn/ substrate (no tape, shared weight reads, optional
- * single-precision kernels).
+ * mode of the nn/ substrate (no tape, shared weight reads).
  *
  * The autograd Graph executes one block at a time and pays tape
  * construction per node. BatchedForward runs N ragged sequences
@@ -12,8 +11,7 @@
  * (nn/matvec_dispatch.hh), its Wh h products another, so each
  * weight block is loaded and transposed once per group instead of
  * once per lane; then each lane's gate combine and cell update run
- * as before. (In kF32 the groups make one single-vector f32 kernel
- * call per lane.) Two forward-only shortcuts exploit frozenness:
+ * as before. Two forward-only shortcuts exploit frozenness:
  *
  *  - first-step skip: a lane's initial hidden state is zero, so the
  *    recurrent matvec at t = 0 collapses to its exact degenerate
@@ -23,23 +21,23 @@
  *    product of every table row is precomputed once per (weight,
  *    table) pair and the lane sits out its group's layer-0 Wx call.
  *
- * All weight-derived state — the f64 view, the lazily-converted f32
- * panels and the input-projection tables — lives in an immutable
+ * All weight-derived state — the input-projection tables and the
+ * loader's constant input columns — lives in an immutable
  * nn::WeightSnapshot (see nn/snapshot.hh) that the executor borrows
- * through a shared_ptr. Any number of executors (e.g. the serving
- * engine's shards) bind one snapshot and share a single copy; an
- * executor only owns its per-batch lane scratch.
+ * through a shared_ptr; the weights themselves are read in place
+ * from the snapshot's ParamSet. Any number of executors (e.g. the
+ * serving engine's shards) bind one snapshot and share a single
+ * copy; an executor only owns its per-batch lane scratch.
  *
- * # Bit-stability contract (double precision)
+ * # Bit-stability contract
  *
- * In Precision::kF64 every per-lane arithmetic operation replicates
- * the graph engine's per-element expression shape and k-ascending
- * accumulation order exactly — each lane of a lanes call has the
- * bits of the single-vector kernel the graph runs, and both
- * shortcuts above are value-exact — so a batched forward pass is
- * bit-identical to running each lane through its own Graph,
- * regardless of batch size, submission order or the lengths of the
- * other lanes.
+ * Every per-lane arithmetic operation replicates the graph engine's
+ * per-element expression shape and k-ascending accumulation order
+ * exactly — each lane of a lanes call has the bits of the
+ * single-vector kernel the graph runs, and both shortcuts above are
+ * value-exact — so a batched forward pass is bit-identical to
+ * running each lane through its own Graph, regardless of batch
+ * size, submission order or the lengths of the other lanes.
  * tests/test_nn_batched.cc and the golden suite lock this in.
  *
  * # Ragged batches and masking
@@ -51,22 +49,8 @@
  * numerics. A lane's final hidden state is captured at its own last
  * step.
  *
- * # Single-precision serving (Precision::kF32)
- *
- * An opt-in inference mode for serving: all parameters are
- * converted to float once per *snapshot* (the first kF32 executor
- * bind triggers it; later binds reuse the shared panels), the
- * kernels run in single precision, and the sigmoid/tanh
- * transcendentals — the other dominant cost at serving widths — go
- * through fast polynomial approximations (straight-line float
- * arithmetic, deterministic, auto-vectorizable) instead of libm.
- * Accuracy is gated, not bit-gated: the serving tests require
- * relative error < 1e-5 against the double path on the test corpus.
- * Training never uses this mode.
- *
  * The bound ParamSet must stay frozen for the executor's lifetime
- * (the f32 conversion and the input projections snapshot it). Usage
- * per LSTM level:
+ * (the input projections snapshot it). Usage per LSTM level:
  *
  *     bf.begin(in_dim);
  *     int lane = bf.addLane(steps);
@@ -88,16 +72,6 @@
 
 namespace difftune::nn
 {
-
-/** Arithmetic precision of a forward-only execution mode. */
-enum class Precision : uint8_t
-{
-    kF64, ///< double; bit-identical to the Graph engine
-    kF32, ///< float serving mode; accuracy-gated, not bit-gated
-};
-
-/** "f64" / "f32". */
-const char *precisionName(Precision precision);
 
 /** Parameter indices of one LSTM layer (all within one ParamSet). */
 struct LstmLayerRef
@@ -135,26 +109,20 @@ class BatchedForward
   public:
     /**
      * Borrow @p snapshot (shared with any number of sibling
-     * executors). kF64 reads the snapshot's ParamSet storage in
-     * place; kF32 triggers the snapshot's one-time f32 conversion
-     * (a no-op if a sibling already did).
+     * executors); the weights are read from its ParamSet in place.
      */
     explicit BatchedForward(
-        std::shared_ptr<const WeightSnapshot> snapshot,
-        Precision precision = Precision::kF64);
+        std::shared_ptr<const WeightSnapshot> snapshot);
 
     /**
      * Convenience: bind to @p params through a private snapshot
      * (for standalone users — tests, benches). @p params must
      * outlive the executor; nothing is shared.
      */
-    explicit BatchedForward(const ParamSet &params,
-                            Precision precision = Precision::kF64);
+    explicit BatchedForward(const ParamSet &params);
 
     BatchedForward(const BatchedForward &) = delete;
     BatchedForward &operator=(const BatchedForward &) = delete;
-
-    Precision precision() const { return precision_; }
 
     const WeightSnapshot &snapshot() const { return *snapshot_; }
 
@@ -176,25 +144,18 @@ class BatchedForward
     /** Add a lane of @p steps >= 1 steps; returns its lane id. */
     int addLane(int steps);
 
-    /**
-     * Fill @p n elements of (lane, step)'s input at @p offset from
-     * @p x (converted to the working precision on copy).
-     */
+    /** Fill @p n elements of (lane, step)'s input at @p offset from
+     *  @p x. */
     void setInput(int lane, int step, int offset, const double *x,
                   int n);
 
-    /**
-     * Input slice = row @p row of parameter @p table_index (an
-     * embedding gather, read from the precision-converted weights).
-     */
+    /** Input slice = row @p row of parameter @p table_index (an
+     *  embedding gather). */
     void setInputParamRow(int lane, int step, int offset,
                           int table_index, int row);
 
-    /**
-     * Input slice = the previous run()'s final hidden state of
-     * @p src_lane (copied in the working precision, no double
-     * round trip).
-     */
+    /** Input slice = the previous run()'s final hidden state of
+     *  @p src_lane. */
     void setInputPrevHidden(int lane, int step, int offset,
                             int src_lane);
 
@@ -222,35 +183,22 @@ class BatchedForward
     size_t numLanes() const { return lanes_.size(); }
 
   private:
-    /** Per-precision scratch; only the active precision's is used. */
-    template <typename T> struct Lanes
-    {
-        std::vector<T> in;     ///< ragged inputs, lane-major
-        std::vector<T> h, c;   ///< layers x lanes x hidden
-        std::vector<T> gates;  ///< a lane group's z and Wh h
-        std::vector<T> finalH; ///< lanes x hidden (flat)
-    };
-
     struct Lane
     {
         int len = 0;       ///< steps
-        size_t off = 0;    ///< offset of step 0 in Lanes::in
+        size_t off = 0;    ///< offset of step 0 in in_
         int32_t step0 = 0; ///< off / dim: index into the step marks
     };
 
-    template <typename T> Lanes<T> &lanes();
-    template <typename T> const Lanes<T> &lanes() const;
-
-    /** Base pointer of parameter @p index in the working precision. */
-    template <typename T> const T *weight(int index) const;
-
-    template <typename T> void runImpl(const LstmStackRef &stack);
-    template <typename T>
-    void headAllImpl(const LinearRef &head, double *out) const;
+    /** Base pointer of parameter @p index (read in place). */
+    const double *
+    weight(int index) const
+    {
+        return params_[index].data.data();
+    }
 
     std::shared_ptr<const WeightSnapshot> snapshot_;
     const ParamSet &params_; ///< snapshot_->params(), cached
-    Precision precision_;
 
     int dim_ = 0;           ///< input width of the batch being built
     int lastHidden_ = 0;    ///< hidden width of the last run()
@@ -265,8 +213,10 @@ class BatchedForward
     std::vector<int32_t> rowTab_;
     std::vector<int32_t> rowIdx_;
 
-    Lanes<double> f64_;
-    Lanes<float> f32_;
+    std::vector<double> in_;     ///< ragged inputs, lane-major
+    std::vector<double> h_, c_;  ///< layers x lanes x hidden
+    std::vector<double> gates_;  ///< a lane group's z and Wh h
+    std::vector<double> finalH_; ///< lanes x hidden (flat)
 };
 
 } // namespace difftune::nn

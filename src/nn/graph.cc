@@ -221,23 +221,6 @@ checkSameShape(int ar, int ac, int br, int bc, const char *op)
 
 } // namespace
 
-namespace
-{
-
-/**
- * out = W x: the shared ILP-blocked kernel (nn/matvec_inl.hh),
- * instantiated at double. The batched executor runs the same
- * template, which is what keeps the two engines bit-identical.
- */
-inline void
-matvecForward(const double *__restrict w, const double *__restrict x,
-              double *__restrict out, int rows, int cols)
-{
-    matvecForwardT(w, x, out, rows, cols);
-}
-
-} // namespace
-
 Var
 Graph::pushNode(Op op, int rows, int cols, bool requires_grad,
                 size_t aux_doubles)

@@ -3,8 +3,8 @@
  * AVX2 matvec kernels — the forward W x and the two f64 backward
  * halves — bit-identical to the scalar reference.
  *
- * The forward vectorization is *across rows*: 4 f64 (8 f32) rows
- * share one 256-bit accumulator, one row per lane. Each step loads a
+ * The forward vectorization is *across rows*: 4 rows share one
+ * 256-bit accumulator, one row per lane. Each step loads a
  * square block of the weight matrix, transposes it in registers to
  * column vectors, and accumulates column k against the broadcast
  * x[k] with separate mul and add intrinsics — so every lane performs
@@ -214,84 +214,6 @@ avx2LanesF64(const double *w, const double *const *x,
     }
 }
 
-void
-avx2F32(const float *w, const float *x, float *out, int rows,
-        int cols)
-{
-    int r = 0;
-    for (; r + 8 <= rows; r += 8) {
-        const float *wr[8];
-        for (int i = 0; i < 8; ++i)
-            wr[i] = w + size_t(r + i) * cols;
-        __m256 acc = _mm256_setzero_ps();
-        int k = 0;
-        for (; k + 8 <= cols; k += 8) {
-            const __m256 a0 = _mm256_loadu_ps(wr[0] + k);
-            const __m256 a1 = _mm256_loadu_ps(wr[1] + k);
-            const __m256 a2 = _mm256_loadu_ps(wr[2] + k);
-            const __m256 a3 = _mm256_loadu_ps(wr[3] + k);
-            const __m256 a4 = _mm256_loadu_ps(wr[4] + k);
-            const __m256 a5 = _mm256_loadu_ps(wr[5] + k);
-            const __m256 a6 = _mm256_loadu_ps(wr[6] + k);
-            const __m256 a7 = _mm256_loadu_ps(wr[7] + k);
-            // 8x8 transpose: col[j][lane] = w_lane[k + j].
-            const __m256 t0 = _mm256_unpacklo_ps(a0, a1);
-            const __m256 t1 = _mm256_unpackhi_ps(a0, a1);
-            const __m256 t2 = _mm256_unpacklo_ps(a2, a3);
-            const __m256 t3 = _mm256_unpackhi_ps(a2, a3);
-            const __m256 t4 = _mm256_unpacklo_ps(a4, a5);
-            const __m256 t5 = _mm256_unpackhi_ps(a4, a5);
-            const __m256 t6 = _mm256_unpacklo_ps(a6, a7);
-            const __m256 t7 = _mm256_unpackhi_ps(a6, a7);
-            const __m256 u0 =
-                _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u1 =
-                _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 u2 =
-                _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u3 =
-                _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 u4 =
-                _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u5 =
-                _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 u6 =
-                _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-            const __m256 u7 =
-                _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-            const __m256 cols8[8] = {
-                _mm256_permute2f128_ps(u0, u4, 0x20),
-                _mm256_permute2f128_ps(u1, u5, 0x20),
-                _mm256_permute2f128_ps(u2, u6, 0x20),
-                _mm256_permute2f128_ps(u3, u7, 0x20),
-                _mm256_permute2f128_ps(u0, u4, 0x31),
-                _mm256_permute2f128_ps(u1, u5, 0x31),
-                _mm256_permute2f128_ps(u2, u6, 0x31),
-                _mm256_permute2f128_ps(u3, u7, 0x31),
-            };
-            for (int j = 0; j < 8; ++j)
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(cols8[j],
-                                       _mm256_set1_ps(x[k + j])));
-        }
-        for (; k < cols; ++k) {
-            const __m256 col = _mm256_set_ps(
-                wr[7][k], wr[6][k], wr[5][k], wr[4][k], wr[3][k],
-                wr[2][k], wr[1][k], wr[0][k]);
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(col, _mm256_set1_ps(x[k])));
-        }
-        _mm256_storeu_ps(out + r, acc);
-    }
-    for (; r < rows; ++r) {
-        const float *row = w + size_t(r) * cols;
-        float sum = 0;
-        for (int k = 0; k < cols; ++k)
-            sum += row[k] * x[k];
-        out[r] = sum;
-    }
-}
-
 /**
  * out[k0 .. k0 + 4N) += v(r)[k0 .. k0 + 4N) * d(r) for r = 0 ..
  * count-1 in order, the d(r) == 0 terms skipped: N independent ymm
@@ -393,8 +315,8 @@ avx2OuterF64(double *grad, const double *const *dz,
             [&](size_t r) { return x[r]; });
 }
 
-const MatvecKernels avx2Kernels{avx2F64, avx2LanesF64, avx2F32,
-                                avx2InputGradF64, avx2OuterF64, "avx2"};
+const MatvecKernels avx2Kernels{avx2F64, avx2LanesF64, avx2InputGradF64,
+                                avx2OuterF64, "avx2"};
 
 } // namespace
 

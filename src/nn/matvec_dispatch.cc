@@ -33,13 +33,6 @@ scalarLanesF64(const double *w, const double *const *x,
 }
 
 void
-scalarF32(const float *w, const float *x, float *out, int rows,
-          int cols)
-{
-    matvecForwardScalarT(w, x, out, rows, cols);
-}
-
-void
 scalarInputGradF64(const double *w, const double *dz, double *xgrad,
                    int rows, int cols)
 {
@@ -61,11 +54,11 @@ scalarOuterF64(double *grad, const double *const *dz,
 }
 
 const MatvecKernels scalarKernels{scalarF64, scalarLanesF64,
-                                  scalarF32, scalarInputGradF64,
-                                  scalarOuterF64, "scalar"};
+                                  scalarInputGradF64, scalarOuterF64,
+                                  "scalar"};
 const MatvecKernels forcedKernels{scalarF64, scalarLanesF64,
-                                  scalarF32, scalarInputGradF64,
-                                  scalarOuterF64, "scalar (forced)"};
+                                  scalarInputGradF64, scalarOuterF64,
+                                  "scalar (forced)"};
 
 const MatvecKernels &
 selectKernels()

@@ -1,15 +1,16 @@
 /**
  * @file
- * Runtime-dispatched matvec kernels: the forward W x (for one vector
- * or a group of them) and the two halves of its f64 backward.
+ * Runtime-dispatched matvec kernels, all double precision: the
+ * forward W x (for one vector or a group of them) and the two halves
+ * of its backward.
  *
  * One process-wide selection, made on first use, routes every
  * kernel call (autograd engine, batched executor, snapshot
  * projections — all via nn/matvec_inl.hh) to either the portable
  * scalar kernels or the AVX2 kernels. Each entry point:
  *
- *  - f64 / f32      out = W x. AVX2 vectorizes *across rows* (4 f64 /
- *                   8 f32 rows per 256-bit register) with each lane's
+ *  - f64            out = W x. AVX2 vectorizes *across rows* (4 rows
+ *                   per 256-bit register) with each lane's
  *                   accumulation kept in k-ascending order.
  *  - lanesF64       out_j = W x_j for several vectors x_j at once (the
  *                   batched executor's lane groups). AVX2 transposes
@@ -36,7 +37,7 @@
  * re-prove it end to end). AVX2 is selected only when the kernels
  * were compiled in AND cpuid reports AVX2.
  *
- * Because every caller goes through the one dispatch point, the f64
+ * Because every caller goes through the one dispatch point, the
  * bit-exactness contract (batched == sequential reference) holds
  * per selected path by construction — both sides of any comparison
  * always run the same kernel.
@@ -67,9 +68,6 @@ using MatvecLanesF64Fn = void (*)(const double *w,
                                   const double *const *x,
                                   double *const *out, int lanes,
                                   int rows, int cols);
-/** out = W x in single precision. */
-using MatvecF32Fn = void (*)(const float *w, const float *x,
-                             float *out, int rows, int cols);
 /**
  * xgrad += W^T dz (row-major W, rows x cols): row i adds
  * W[i,:] * dz[i], rows ascending, the dz[i] == 0 rows skipped.
@@ -90,7 +88,6 @@ struct MatvecKernels
 {
     MatvecF64Fn f64 = nullptr;
     MatvecLanesF64Fn lanesF64 = nullptr;
-    MatvecF32Fn f32 = nullptr;
     InputGradF64Fn inputGradF64 = nullptr;
     OuterF64Fn outerF64 = nullptr;
     const char *name = "";

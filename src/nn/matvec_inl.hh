@@ -7,7 +7,7 @@
  *
  * Internal header: include only from nn/ translation units. Every
  * engine must run the *same* kernel so their results are
- * bit-identical by construction — matvecForwardT, matvecLanesT and
+ * bit-identical by construction — matvecForward, matvecLanes and
  * the autograd backward route through the one runtime dispatch
  * point (nn/matvec_dispatch.hh), which selects the scalar or the AVX2
  * implementation once per process. Both implementations keep each
@@ -21,7 +21,6 @@
 #define DIFFTUNE_NN_MATVEC_INL_HH
 
 #include <cstddef>
-#include <type_traits>
 
 #include "nn/matvec_dispatch.hh"
 
@@ -158,41 +157,28 @@ accumulateRows(double *__restrict out, int cols, size_t count,
 }
 
 /**
- * The dispatch point every nn/ engine calls: routes f64/f32 through
- * the process-wide selected kernels (scalar until AVX2 is both
- * compiled in and reported by cpuid; DIFFTUNE_FORCE_SCALAR pins
- * scalar). Bit-identical across paths — see matvec_dispatch.hh.
+ * The dispatch point every nn/ engine calls: routes through the
+ * process-wide selected kernels (scalar until AVX2 is both compiled
+ * in and reported by cpuid; DIFFTUNE_FORCE_SCALAR pins scalar).
+ * Bit-identical across paths — see matvec_dispatch.hh.
  */
-template <typename T>
 inline void
-matvecForwardT(const T *__restrict w, const T *__restrict x,
-               T *__restrict out, int rows, int cols)
+matvecForward(const double *w, const double *x, double *out, int rows,
+              int cols)
 {
-    if constexpr (std::is_same_v<T, double>)
-        matvecKernels().f64(w, x, out, rows, cols);
-    else if constexpr (std::is_same_v<T, float>)
-        matvecKernels().f32(w, x, out, rows, cols);
-    else
-        matvecForwardScalarT(w, x, out, rows, cols);
+    matvecKernels().f64(w, x, out, rows, cols);
 }
 
 /**
- * out[j] = W x[j] for j < lanes through the dispatch point: double
- * takes the lanes entry (on AVX2 each weight block is loaded once
- * per group of vectors), float one matvecForwardT call per vector.
- * Either way out[j] has the bits of matvecForwardT on x[j].
+ * out[j] = W x[j] for j < lanes through the dispatch point's lanes
+ * entry (on AVX2 each weight block is loaded once per group of
+ * vectors); out[j] has the bits of matvecForward on x[j].
  */
-template <typename T>
 inline void
-matvecLanesT(const T *w, const T *const *x, T *const *out, int lanes,
-             int rows, int cols)
+matvecLanes(const double *w, const double *const *x,
+            double *const *out, int lanes, int rows, int cols)
 {
-    if constexpr (std::is_same_v<T, double>) {
-        matvecKernels().lanesF64(w, x, out, lanes, rows, cols);
-    } else {
-        for (int j = 0; j < lanes; ++j)
-            matvecForwardT(w, x[j], out[j], rows, cols);
-    }
+    matvecKernels().lanesF64(w, x, out, lanes, rows, cols);
 }
 
 } // namespace difftune::nn

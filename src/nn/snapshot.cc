@@ -1,7 +1,7 @@
 /**
  * @file
- * WeightSnapshot implementation: lazy f32 panels and the lock-free
- * projection-table cache.
+ * WeightSnapshot implementation: the lock-free projection-table
+ * cache.
  */
 
 #include "nn/snapshot.hh"
@@ -15,25 +15,12 @@ WeightSnapshot::WeightSnapshot(const ParamSet &params,
                                std::shared_ptr<const void> owner)
     : params_(params), owner_(std::move(owner))
 {
-    // Offsets are cheap (one size_t per tensor); precomputing them
-    // here keeps ensureF32 a pure value fill.
-    f32Offsets_.reserve(params.count());
-    size_t total = 0;
-    for (size_t i = 0; i < params.count(); ++i) {
-        f32Offsets_.push_back(total);
-        total += params[int(i)].size();
-    }
 }
 
 WeightSnapshot::~WeightSnapshot()
 {
-    for (ProjNode<double> *node = projF64_.load(); node != nullptr;) {
-        ProjNode<double> *next = node->next;
-        delete node;
-        node = next;
-    }
-    for (ProjNode<float> *node = projF32_.load(); node != nullptr;) {
-        ProjNode<float> *next = node->next;
+    for (ProjNode *node = proj_.load(); node != nullptr;) {
+        ProjNode *next = node->next;
         delete node;
         node = next;
     }
@@ -52,43 +39,11 @@ WeightSnapshot::setInputColumns(std::vector<Tensor> columns)
     });
 }
 
-void
-WeightSnapshot::ensureF32() const
+const double *
+WeightSnapshot::projTable(int wx, int table, int rows,
+                          int in_dim) const
 {
-    std::call_once(f32Once_, [this] {
-        // The one-time weight conversion: every parameter tensor,
-        // narrowed to float, packed back to back. Shared by every
-        // kF32 executor bound to this snapshot, so a W-shard engine
-        // pays it once per checkpoint load instead of W times.
-        size_t total = 0;
-        for (size_t i = 0; i < params_.count(); ++i)
-            total += params_[int(i)].size();
-        f32Weights_.reserve(total);
-        for (size_t i = 0; i < params_.count(); ++i)
-            for (double v : params_[int(i)].data)
-                f32Weights_.push_back(float(v));
-        f32Ready_.store(true, std::memory_order_release);
-    });
-}
-
-template <> std::atomic<WeightSnapshot::ProjNode<double> *> &
-WeightSnapshot::projHead() const
-{
-    return projF64_;
-}
-
-template <> std::atomic<WeightSnapshot::ProjNode<float> *> &
-WeightSnapshot::projHead() const
-{
-    return projF32_;
-}
-
-template <typename T>
-const T *
-WeightSnapshot::projTable(int wx, int table, int rows, int in_dim) const
-{
-    std::atomic<ProjNode<T> *> &head = projHead<T>();
-    for (ProjNode<T> *node = head.load(std::memory_order_acquire);
+    for (ProjNode *node = proj_.load(std::memory_order_acquire);
          node != nullptr; node = node->next)
         if (node->wx == wx && node->table == table)
             return node->data.data();
@@ -98,44 +53,31 @@ WeightSnapshot::projTable(int wx, int table, int rows, int in_dim) const
     // bytes (pure function of the frozen weights); the loser of the
     // race re-scans, finds the winner's entry and discards its own,
     // so the list never holds duplicates.
-    const T *wxv;
-    const T *tab;
-    if constexpr (std::is_same_v<T, float>) {
-        ensureF32();
-        wxv = weightF32(wx);
-        tab = weightF32(table);
-    } else {
-        wxv = params_[wx].data.data();
-        tab = params_[table].data.data();
-    }
+    const double *wxv = params_[wx].data.data();
+    const double *tab = params_[table].data.data();
     const int table_rows = params_[table].rows;
-    auto node = std::make_unique<ProjNode<T>>();
+    auto node = std::make_unique<ProjNode>();
     node->wx = wx;
     node->table = table;
     node->data.resize(size_t(table_rows) * rows);
     for (int row = 0; row < table_rows; ++row)
-        matvecForwardT(wxv, tab + size_t(row) * in_dim,
-                       node->data.data() + size_t(row) * rows, rows,
-                       in_dim);
+        matvecForward(wxv, tab + size_t(row) * in_dim,
+                      node->data.data() + size_t(row) * rows, rows,
+                      in_dim);
 
-    ProjNode<T> *expected = head.load(std::memory_order_acquire);
+    ProjNode *expected = proj_.load(std::memory_order_acquire);
     while (true) {
-        for (ProjNode<T> *seen = expected; seen != nullptr;
+        for (ProjNode *seen = expected; seen != nullptr;
              seen = seen->next)
             if (seen->wx == wx && seen->table == table)
                 return seen->data.data(); // lost the race; use theirs
         node->next = expected;
-        if (head.compare_exchange_weak(expected, node.get(),
-                                       std::memory_order_release,
-                                       std::memory_order_acquire))
+        if (proj_.compare_exchange_weak(expected, node.get(),
+                                        std::memory_order_release,
+                                        std::memory_order_acquire))
             return node.release()->data.data();
     }
 }
-
-template const double *WeightSnapshot::projTable<double>(int, int, int,
-                                                         int) const;
-template const float *WeightSnapshot::projTable<float>(int, int, int,
-                                                       int) const;
 
 size_t
 WeightSnapshot::f64Bytes() const
@@ -144,24 +86,12 @@ WeightSnapshot::f64Bytes() const
 }
 
 size_t
-WeightSnapshot::projBytesF64() const
+WeightSnapshot::projBytes() const
 {
     size_t bytes = 0;
-    for (const ProjNode<double> *node =
-             projF64_.load(std::memory_order_acquire);
+    for (const ProjNode *node = proj_.load(std::memory_order_acquire);
          node != nullptr; node = node->next)
         bytes += node->data.size() * sizeof(double);
-    return bytes;
-}
-
-size_t
-WeightSnapshot::projBytesF32() const
-{
-    size_t bytes = 0;
-    for (const ProjNode<float> *node =
-             projF32_.load(std::memory_order_acquire);
-         node != nullptr; node = node->next)
-        bytes += node->data.size() * sizeof(float);
     return bytes;
 }
 

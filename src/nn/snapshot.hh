@@ -4,36 +4,33 @@
  * forward-only executor derives from a frozen ParamSet.
  *
  * Before serving API v2 every nn::BatchedForward owned a private
- * copy of the derived weight state — the f32-converted panels and
- * the per-(weight, table) input-projection tables — so a W-shard
- * serving engine paid W conversions and held W copies. A
- * WeightSnapshot hoists all of that out of the executor: it borrows
- * the frozen f64 ParamSet in place (zero copy), converts the f32
- * panels lazily (once, on the first kF32 bind), caches input
- * projections once per (weight, table) pair, and can carry the
- * loader's precomputed constant input columns (the serving engine's
- * per-opcode parameter-input tensors). Executors borrow the snapshot
- * through a shared_ptr, so any number of shards — across any number
- * of engines — share one copy of every derived table.
+ * copy of the derived weight state, so a W-shard serving engine
+ * held W copies. A WeightSnapshot hoists all of that out of the
+ * executor: it borrows the frozen f64 ParamSet in place (zero
+ * copy), caches input projections once per (weight, table) pair,
+ * and can carry the loader's precomputed constant input columns
+ * (the serving engine's per-opcode parameter-input tensors).
+ * Executors borrow the snapshot through a shared_ptr, so any number
+ * of shards — across any number of engines — share one copy of
+ * every derived table.
  *
  * # Immutability and thread safety
  *
  * The bound ParamSet must stay frozen for the snapshot's lifetime,
  * and the snapshot itself is logically immutable: every query
- * returns the same bytes forever. The two lazy caches are built
- * thread-safely (ensureF32 via std::call_once; projection tables via
- * an append-only lock-free list with acquire/release publication),
- * and both are pure functions of the frozen weights, so a racing
- * reader either sees the published entry or computes the identical
- * value — results never depend on timing. setInputColumns is the
- * one setup-time mutation: call it before the snapshot is shared
- * across threads (the serving engine does so at load time).
+ * returns the same bytes forever. The lazy state is the projection
+ * list and the input columns. Projection tables are built
+ * thread-safely (an append-only lock-free list with acquire/release
+ * publication) and are a pure function of the frozen weights, so a
+ * racing reader either sees the published entry or computes the
+ * identical value — results never depend on timing. setInputColumns
+ * is the one setup-time mutation: call it before the snapshot is
+ * shared across threads (the serving engine does so at load time).
  *
- * Bit-exactness: the f64 view is the ParamSet storage itself, f32
- * panels are float(double) per element, and every projected row
- * comes from the shared matvec kernel (nn/matvec_inl.hh) — all
- * identical to what a private-copy executor computed before, so
- * sharing changes memory, never results.
+ * Bit-exactness: the weights are the ParamSet storage itself and
+ * every projected row comes from the shared matvec kernel
+ * (nn/matvec_inl.hh) — identical to what a private-copy executor
+ * computed before, so sharing changes memory, never results.
  */
 
 #ifndef DIFFTUNE_NN_SNAPSHOT_HH
@@ -98,34 +95,6 @@ class WeightSnapshot
         return columnsSet_.load(std::memory_order_acquire);
     }
 
-    // ---- f32 panels (lazy)
-
-    /**
-     * Build the float-narrowed weight panels if not yet built.
-     * Thread-safe and idempotent; called by every kF32 executor
-     * bind, so the conversion happens once per snapshot, not once
-     * per shard.
-     */
-    void ensureF32() const;
-
-    /** Whether ensureF32 has completed. */
-    bool
-    hasF32() const
-    {
-        return f32Ready_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Base pointer of parameter @p index in the f32 panels
-     * (ensureF32 must have completed).
-     */
-    const float *
-    weightF32(int index) const
-    {
-        panic_if(!hasF32(), "weightF32 before ensureF32");
-        return f32Weights_.data() + f32Offsets_[size_t(index)];
-    }
-
     /**
      * The projection of every row of parameter table @p table
      * through weight @p wx (lazy; cached once per (wx, table) pair
@@ -133,61 +102,43 @@ class WeightSnapshot
      * shared matvec kernel's product of @p wx against table row r —
      * bit-identical to running that matvec at step time. @p rows is
      * the output height (4H for an LSTM input weight), @p in_dim the
-     * table row width. T is double or float (float implies a prior
-     * ensureF32).
+     * table row width.
      */
-    template <typename T>
-    const T *projTable(int wx, int table, int rows, int in_dim) const;
+    const double *projTable(int wx, int table, int rows,
+                            int in_dim) const;
 
     // ---- Memory accounting (for the serving CLI / bench / tests)
 
     /** Bytes of the borrowed f64 ParamSet storage (not owned). */
     size_t f64Bytes() const;
 
-    /** Bytes of the f32 panels (0 until ensureF32). */
-    size_t
-    f32Bytes() const
-    {
-        return hasF32() ? f32Weights_.size() * sizeof(float) : 0;
-    }
-
     /** Bytes of all cached input projections (grows lazily). */
-    size_t
-    projBytes() const
-    {
-        return projBytesF64() + projBytesF32();
-    }
-
-    /** Bytes of the cached f64 / f32 input projections alone. */
-    size_t projBytesF64() const;
-    size_t projBytesF32() const;
+    size_t projBytes() const;
 
     /** Bytes of the attached constant input columns. */
     size_t inputColumnBytes() const;
 
     /**
      * Bytes of derived state this snapshot deduplicates: everything
-     * a pre-v2 executor would have copied per shard (f32 panels +
-     * projection tables + input columns). The f64 weights are
-     * excluded — they were always read in place.
+     * a pre-v2 executor would have copied per shard (projection
+     * tables + input columns). The f64 weights are excluded — they
+     * were always read in place.
      */
     size_t
     sharedBytes() const
     {
-        return f32Bytes() + projBytes() + inputColumnBytes();
+        return projBytes() + inputColumnBytes();
     }
 
   private:
     /** One published (wx, table) projection; append-only list node. */
-    template <typename T> struct ProjNode
+    struct ProjNode
     {
         int wx = -1;
         int table = -1;
-        std::vector<T> data;
+        std::vector<double> data;
         ProjNode *next = nullptr;
     };
-
-    template <typename T> std::atomic<ProjNode<T> *> &projHead() const;
 
     const ParamSet &params_;
     std::shared_ptr<const void> owner_;
@@ -195,14 +146,7 @@ class WeightSnapshot
     std::atomic<bool> columnsSet_{false};
     std::vector<Tensor> inputColumns_;
 
-    /** Per-tensor offsets into the f32 panels (precomputed, cheap). */
-    std::vector<size_t> f32Offsets_;
-    mutable std::once_flag f32Once_;
-    mutable std::vector<float> f32Weights_;
-    mutable std::atomic<bool> f32Ready_{false};
-
-    mutable std::atomic<ProjNode<double> *> projF64_{nullptr};
-    mutable std::atomic<ProjNode<float> *> projF32_{nullptr};
+    mutable std::atomic<ProjNode *> proj_{nullptr};
 };
 
 } // namespace difftune::nn

@@ -43,7 +43,7 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
                          AsyncConfig config)
     : artifact_(std::move(artifact)),
       workers_(config.workers > 0 ? config.workers : workerThreads()),
-      precision_(config.precision), config_(config),
+      config_(config),
       interner_(config.internCapacity > 0 ? 2 * config.internCapacity
                                           : size_t(1) << 17,
                 config.internCapacity > 0 ? config.internCapacity
@@ -101,17 +101,16 @@ AsyncEngine::AsyncEngine(io::ModelSnapshot artifact,
     registerMetrics();
 
     // One executor + instruction-hidden memo per worker, all
-    // borrowing the one snapshot: the kF32 conversion and every
-    // input projection happen once per engine (or once per
-    // *artifact*, when engines share), not once per executor.
-    // Every worker is built before any thread starts, so pool_ is
-    // immutable from here on and workers index siblings' queues
-    // without further coordination.
+    // borrowing the one snapshot: every input projection happens
+    // once per engine (or once per *artifact*, when engines share),
+    // not once per executor. Every worker is built before any
+    // thread starts, so pool_ is immutable from here on and workers
+    // index siblings' queues without further coordination.
     pool_.reserve(size_t(workers_));
     for (int w = 0; w < workers_; ++w) {
         pool_.push_back(std::make_unique<Worker>());
         pool_.back()->batched =
-            std::make_unique<nn::BatchedForward>(snapshot_, precision_);
+            std::make_unique<nn::BatchedForward>(snapshot_);
     }
     try {
         for (size_t w = 0; w < pool_.size(); ++w)

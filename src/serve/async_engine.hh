@@ -12,11 +12,11 @@
  *    exactly one nn::BatchedForward executor and its
  *    instruction-hidden memo, and runs its micro-batches on that
  *    executor alone — there is no second, nested fork-join level.
- *    All executors borrow one nn::WeightSnapshot (weights, lazily
- *    converted f32 panels, input-projection tables, per-opcode
- *    parameter-input columns), so per-engine weight allocations do
- *    not scale with the worker count — and engines built from the
- *    same io::ModelSnapshot share too.
+ *    All executors borrow one nn::WeightSnapshot (weights,
+ *    input-projection tables, per-opcode parameter-input columns),
+ *    so per-engine weight allocations do not scale with the worker
+ *    count — and engines built from the same io::ModelSnapshot
+ *    share too.
  *
  *  - **One intake.** submit, submitAll, predict and predictAll all
  *    enter through the same intake, which runs the whole front end
@@ -48,10 +48,8 @@
  * A prediction is a pure function of the canonical block text and
  * the frozen checkpoint. Batching, arrival order, micro-batch
  * composition, worker count, cache state and client thread count
- * can therefore never change a result: in kF64 every answer is
- * bit-identical to the sequential reference path, and kF32 answers
- * are identical across all of the above (accuracy-gated < 1e-5
- * against f64, never bit-gated).
+ * can therefore never change a result: every answer is
+ * bit-identical to the sequential reference path.
  *
  * # Shutdown
  *
@@ -99,8 +97,6 @@ struct AsyncConfig
      */
     int workers = 0;
     size_t cacheCapacity = 8192; ///< LRU entries (each cache)
-    /** Serving arithmetic (see nn/batched.hh; kF32 is opt-in). */
-    nn::Precision precision = nn::Precision::kF64;
     /** Lock stripes per LRU cache (<= 0: library default). */
     int cacheStripes = 0;
     /**
@@ -282,7 +278,7 @@ class AsyncEngine
     /**
      * The uncached, unbatched reference path: parse + encode + one
      * fresh double-precision graph per call. The ground truth every
-     * kF64 answer must match bit-exactly.
+     * answer must match bit-exactly.
      */
     double predictUncached(const std::string &block_text) const;
 
@@ -316,7 +312,6 @@ class AsyncEngine
         return snapshot_;
     }
     int workers() const { return workers_; }
-    nn::Precision precision() const { return precision_; }
     const AsyncConfig &config() const { return config_; }
     /** The engine's interned canonical tables (sizes/footprint). */
     const isa::Interner &interner() const { return interner_; }
@@ -329,9 +324,9 @@ class AsyncEngine
 
     /**
      * Bytes of weight-derived state this engine shares through its
-     * snapshot: the f32 panels and projection tables (one copy per
-     * *executor* before v2) plus the per-opcode input columns (one
-     * copy per *engine* before v2). Constant in workers() by
+     * snapshot: the projection tables (one copy per *executor*
+     * before v2) plus the per-opcode input columns (one copy per
+     * *engine* before v2). Constant in workers() by
      * construction, and shared further across engines built from
      * one io::ModelSnapshot.
      */
@@ -417,7 +412,6 @@ class AsyncEngine
     io::ModelSnapshot artifact_;
     std::shared_ptr<const nn::WeightSnapshot> snapshot_;
     int workers_;
-    nn::Precision precision_;
     AsyncConfig config_;
 
     /**

@@ -62,8 +62,8 @@ struct RegistryConfig
     /**
      * Template for every engine the registry constructs. metricPrefix
      * and registry are managed by the ModelRegistry itself (see
-     * metricRoot below); the remaining knobs — workers, precision,
-     * cache capacities, batcher limits — apply to each model.
+     * metricRoot below); the remaining knobs — workers, cache
+     * capacities, batcher limits — apply to each model.
      */
     AsyncConfig engine;
     /**

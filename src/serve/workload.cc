@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -54,7 +53,7 @@ runNaive(const AsyncEngine &engine,
 ThroughputComparison
 engineVsNaive(AsyncEngine &engine,
               const std::vector<std::string> &workload,
-              const NaiveRun &naive, size_t wave, double rel_tol)
+              const NaiveRun &naive, size_t wave)
 {
     panic_if(naive.predictions.size() != workload.size(),
              "engineVsNaive: naive run has {} predictions for {} "
@@ -78,52 +77,36 @@ engineVsNaive(AsyncEngine &engine,
     result.engineSeconds =
         secondsBetween(begin, std::chrono::steady_clock::now());
 
-    // Every served prediction is checked against the double
-    // reference: bit-exact at rel_tol 0 (the kF64 contract), within
-    // rel_tol otherwise (the kF32 gate).
-    for (size_t i = 0; i < workload.size(); ++i) {
-        const double expect = naive.predictions[i];
-        const double got = served[i];
-        if (rel_tol <= 0.0) {
-            fatal_if(got != expect,
-                     "engine and naive predictions diverged at "
-                     "request {} ({} vs {})",
-                     i, got, expect);
-            continue;
-        }
-        const double rel =
-            std::abs(got - expect) / std::abs(expect);
-        fatal_if(!(rel <= rel_tol),
-                 "engine prediction at request {} off by {} "
-                 "(tolerance {}): {} vs {}",
-                 i, rel, rel_tol, got, expect);
-        result.maxRelErr = std::max(result.maxRelErr, rel);
-    }
+    // Every served prediction must match the double reference
+    // bit-exactly.
+    for (size_t i = 0; i < workload.size(); ++i)
+        fatal_if(served[i] != naive.predictions[i],
+                 "engine and naive predictions diverged at request {} "
+                 "({} vs {})",
+                 i, served[i], naive.predictions[i]);
     return result;
 }
 
 ThroughputComparison
 compareThroughput(AsyncEngine &engine,
                   const std::vector<std::string> &workload,
-                  size_t wave, double rel_tol)
+                  size_t wave)
 {
-    return engineVsNaive(engine, workload,
-                         runNaive(engine, workload), wave, rel_tol);
+    return engineVsNaive(engine, workload, runNaive(engine, workload),
+                         wave);
 }
 
 namespace
 {
 
 void
-checkAgainstReference(const NaiveRun *reference, size_t index,
+checkAgainstReference(const NaiveRun &reference, size_t index,
                       double got)
 {
-    if (!reference)
-        return;
-    fatal_if(got != reference->predictions[index],
+    fatal_if(got != reference.predictions[index],
              "async and naive predictions diverged at request {} "
              "({} vs {})",
-             index, got, reference->predictions[index]);
+             index, got, reference.predictions[index]);
 }
 
 } // namespace
@@ -131,15 +114,14 @@ checkAgainstReference(const NaiveRun *reference, size_t index,
 AsyncClientComparison
 compareAsyncClients(const io::ModelSnapshot &artifact,
                     const std::vector<std::string> &workload,
-                    int threads, const NaiveRun *reference,
+                    int threads, const NaiveRun &reference,
                     const AsyncConfig &config)
 {
     panic_if(threads < 1, "compareAsyncClients: {} threads", threads);
-    panic_if(reference &&
-                 reference->predictions.size() != workload.size(),
+    panic_if(reference.predictions.size() != workload.size(),
              "compareAsyncClients: reference has {} predictions for "
              "{} requests",
-             reference->predictions.size(), workload.size());
+             reference.predictions.size(), workload.size());
     AsyncClientComparison result;
     result.threads = threads;
 

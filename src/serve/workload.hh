@@ -41,7 +41,6 @@ struct ThroughputComparison
 {
     double naiveSeconds = 0.0;  ///< predictUncached per request
     double engineSeconds = 0.0; ///< wave-batched predictAll
-    double maxRelErr = 0.0;     ///< worst per-request |e-n|/|n|
 
     double speedup() const { return naiveSeconds / engineSeconds; }
 };
@@ -63,17 +62,14 @@ NaiveRun runNaive(const AsyncEngine &engine,
 
 /**
  * Run @p workload through the batched engine in waves of @p wave
- * requests (as a serving endpoint would) and compare every
- * prediction against @p naive. rel_tol 0 demands bit-exact
- * agreement (the kF64 contract); a positive rel_tol bounds the
- * relative error instead (the kF32 accuracy gate). Fatal on any
- * violation. The engine's caches are expected cold on entry.
+ * requests (as a serving endpoint would) and check every prediction
+ * bit-exact against @p naive. Fatal on any mismatch. The engine's
+ * caches are expected cold on entry.
  */
 ThroughputComparison
 engineVsNaive(AsyncEngine &engine,
               const std::vector<std::string> &workload,
-              const NaiveRun &naive, size_t wave = 250,
-              double rel_tol = 0.0);
+              const NaiveRun &naive, size_t wave = 250);
 
 /**
  * runNaive + engineVsNaive in one call (the naive pass runs first,
@@ -82,7 +78,7 @@ engineVsNaive(AsyncEngine &engine,
 ThroughputComparison
 compareThroughput(AsyncEngine &engine,
                   const std::vector<std::string> &workload,
-                  size_t wave = 250, double rel_tol = 0.0);
+                  size_t wave = 250);
 
 /**
  * Request-latency percentiles of an async client run (seconds).
@@ -132,14 +128,14 @@ struct AsyncClientComparison
  * future (at most @p threads requests in flight, as with real
  * users). Each pass runs on a fresh engine built from @p artifact —
  * the engines share @p artifact's WeightSnapshot, so the comparison
- * also exercises cross-engine weight sharing. When @p reference is
- * non-null every prediction of both passes is checked bit-exact
- * against it (the kF64 contract; pass null for kF32).
+ * also exercises cross-engine weight sharing. Every prediction of
+ * both passes is checked bit-exact against @p reference (fatal on a
+ * mismatch).
  */
 AsyncClientComparison
 compareAsyncClients(const io::ModelSnapshot &artifact,
                     const std::vector<std::string> &workload,
-                    int threads, const NaiveRun *reference,
+                    int threads, const NaiveRun &reference,
                     const AsyncConfig &config = {});
 
 /**

@@ -152,16 +152,6 @@ Model::predictBatch(
     out.resize(blocks.size());
     if (blocks.empty())
         return;
-    if (inst_cache) {
-        panic_if(inst_cache->precisionPinned_ &&
-                     inst_cache->precision_ != bf.precision(),
-                 "predictBatch: instruction cache holds {} hiddens, "
-                 "executor runs {}",
-                 nn::precisionName(inst_cache->precision_),
-                 nn::precisionName(bf.precision()));
-        inst_cache->precisionPinned_ = true;
-        inst_cache->precision_ = bf.precision();
-    }
 
     // Token level: one lane per *distinct* instruction across the
     // whole batch (embedding rows gathered straight from the table).

@@ -42,12 +42,11 @@ using EncodedBlock = std::vector<std::vector<isa::TokenId>>;
  * corpora — skip the token LSTM entirely on every reuse at the cost
  * of one u32 hash probe instead of a token-vector hash. Reuse is
  * bit-exact: the stored vector is the exact value the executor
- * produced (f32 hiddens round-trip through double losslessly).
+ * produced.
  *
  * Bounded: at @p capacity entries the cache stops inserting (no
  * eviction — the instruction vocabulary of a serving workload is
- * small and stable). A cache is tied to one executor precision; the
- * first use pins it. Not thread-safe: give each serving shard its
+ * small and stable). Not thread-safe: give each serving shard its
  * own (caches only affect speed, never results, so sharding them
  * preserves determinism).
  */
@@ -80,8 +79,6 @@ class InstHiddenCache
     };
 
     size_t capacity_;
-    bool precisionPinned_ = false;
-    nn::Precision precision_ = nn::Precision::kF64;
     std::unordered_map<isa::InstId, std::vector<double>> map_;
 };
 
@@ -148,9 +145,8 @@ class Model
      * (the same pre-exp value forward() produces) to @p out, aligned
      * with @p blocks.
      *
-     * In double precision the results are bit-identical to running
-     * forward() per block; in kF32 they are accuracy-gated instead
-     * (see the serving tests).
+     * The results are bit-identical to running forward() per
+     * block.
      *
      * Identical instructions are deduplicated within the batch (one
      * token-level lane serves every occurrence), and, when
@@ -211,8 +207,8 @@ EncodedBlock encodeBlock(const isa::BasicBlock &block);
  * that keeps the model alive (the snapshot borrows the ParamSet
  * storage in place and holds the model as its owner). Every
  * nn::BatchedForward bound to the snapshot — across any number of
- * serving shards or engines — shares one copy of the derived f32
- * panels and input-projection tables. The model must not be trained
+ * serving shards or engines — shares one copy of the derived
+ * input-projection tables. The model must not be trained
  * further while the snapshot exists.
  */
 std::shared_ptr<nn::WeightSnapshot>

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -117,9 +118,8 @@ TEST(Container, HeaderBytesAreStable)
 {
     // The on-disk header is pinned: 8 magic bytes then the version as
     // explicit little-endian — a checkpoint written on any host must
-    // start with exactly these bytes. A file that uses no version-2
-    // feature is stamped version 1 so that version-1 readers keep
-    // accepting it (docs/CHECKPOINT_FORMAT.md).
+    // start with exactly these bytes. Every file is version 1
+    // (version 2 is retired; docs/CHECKPOINT_FORMAT.md).
     ChunkWriter writer;
     writer.add("ABCD", "x");
     const std::string bytes = writer.serialize();
@@ -132,25 +132,6 @@ TEST(Container, HeaderBytesAreStable)
     // Chunk count = 1, little-endian.
     EXPECT_EQ(uint8_t(bytes[12]), 1);
     EXPECT_EQ(uint8_t(bytes[13]), 0);
-}
-
-TEST(Container, RequiredVersionIsStamped)
-{
-    ChunkWriter writer;
-    writer.add("ABCD", "x");
-    writer.requireVersion(2);
-    writer.requireVersion(1); // the maximum wins
-    const std::string bytes = writer.serialize();
-    EXPECT_EQ(uint8_t(bytes[8]), 2);
-    // This build reads what it writes...
-    ChunkReader reader(bytes);
-    EXPECT_EQ(reader.payload("ABCD"), "x");
-    // ...and still rejects anything newer than checkpointVersion
-    // (the version-1 reader's rejection of version-2 files worked
-    // the same way).
-    std::string future = bytes;
-    future[8] = char(checkpointVersion + 1);
-    EXPECT_THROW(ChunkReader{future}, std::runtime_error);
 }
 
 TEST(Container, ChunkRoundTrip)
@@ -362,8 +343,11 @@ TEST(Checkpoint, FileRoundTripReproducesPredictions)
     }
 }
 
-TEST(Checkpoint, F32WeightsRoundTrip)
+TEST(Checkpoint, RetiredF32VersionIsRejected)
 {
+    // Version 2 added a float weights chunk ("WF32") and is retired:
+    // a leftover v2 file must fail the container version gate, never
+    // half-load. Patch a v1 surrogate checkpoint's version byte.
     surrogate::ModelConfig cfg;
     cfg.embedDim = 8;
     cfg.hidden = 10;
@@ -371,50 +355,34 @@ TEST(Checkpoint, F32WeightsRoundTrip)
     cfg.blockLayers = 1;
     cfg.seed = 7;
     surrogate::Model model(cfg, isa::theVocab().size());
+    const params::SamplingDist dist = params::SamplingDist::full();
+    const params::ParamTable table(isa::theIsa().numOpcodes());
+    TempFile file("retired_v2.ckpt");
+    saveCheckpoint(file.path(), &model, &dist, &table);
+    EXPECT_NO_THROW(loadCheckpoint(file.path()));
 
-    TempFile f64_file("f64.ckpt");
-    TempFile f32_file("f32.ckpt");
-    saveCheckpoint(f64_file.path(), &model, nullptr, nullptr);
-    saveCheckpoint(f32_file.path(), &model, nullptr, nullptr,
-                   nn::Precision::kF32);
-
-    // The f32 file is a version-2 artifact at roughly half the
-    // weight bytes.
-    const auto f64_size =
-        std::filesystem::file_size(f64_file.path());
-    const auto f32_size =
-        std::filesystem::file_size(f32_file.path());
-    EXPECT_LT(f32_size, f64_size * 3 / 4);
+    std::string bytes;
     {
-        std::ifstream in(f32_file.path(), std::ios::binary);
-        char header[9] = {};
-        in.read(header, 9);
-        EXPECT_EQ(uint8_t(header[8]), 2);
+        std::ifstream in(file.path(), std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
     }
-
-    Checkpoint loaded = loadCheckpoint(f32_file.path());
-    ASSERT_TRUE(loaded.model);
-    EXPECT_EQ(loaded.weightPrecision, nn::Precision::kF32);
-    // Every loaded weight is the float-narrowed original, exactly.
-    const nn::ParamSet &orig = model.params();
-    const nn::ParamSet &back = loaded.model->params();
-    ASSERT_EQ(orig.count(), back.count());
-    for (size_t p = 0; p < orig.count(); ++p)
-        for (size_t i = 0; i < orig[int(p)].data.size(); ++i)
-            EXPECT_TRUE(
-                sameBits(double(float(orig[int(p)].data[i])),
-                         back[int(p)].data[i]));
-    // An f32 round trip is idempotent: saving the narrowed model
-    // again reproduces the same weights.
-    TempFile again("f32b.ckpt");
-    saveCheckpoint(again.path(), loaded.model.get(), nullptr,
-                   nullptr, nn::Precision::kF32);
-    Checkpoint twice = loadCheckpoint(again.path());
-    for (size_t p = 0; p < back.count(); ++p)
-        for (size_t i = 0; i < back[int(p)].data.size(); ++i)
-            EXPECT_TRUE(sameBits(back[int(p)].data[i],
-                                 twice.model->params()[int(p)]
-                                     .data[i]));
+    ASSERT_GE(bytes.size(), 12u);
+    ASSERT_EQ(uint8_t(bytes[8]), 1);
+    bytes[8] = char(2);
+    {
+        std::ofstream out(file.path(),
+                          std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), std::streamsize(bytes.size()));
+    }
+    try {
+        loadCheckpoint(file.path());
+        FAIL() << "a version-2 checkpoint was accepted";
+    } catch (const std::runtime_error &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("unsupported checkpoint version 2"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(Checkpoint, TableOnlyCheckpoint)

@@ -10,18 +10,14 @@
  *    lengths (the per-lane length-masking path);
  *  - batches reuse the executor's scratch: interleaving batches of
  *    different shapes through one BatchedForward never changes a
- *    result;
- *  - kF32 predictions track the double path within 1e-5 relative
- *    error over a generated test corpus (the serving accuracy gate).
+ *    result.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <vector>
 
-#include "bhive/corpus.hh"
 #include "core/raw_table.hh"
 #include "hw/default_table.hh"
 #include "isa/parse.hh"
@@ -80,10 +76,9 @@ encodeAll(const std::vector<std::string> &texts)
 
 std::vector<double>
 batchedHeads(const surrogate::Model &model,
-             const std::vector<surrogate::EncodedBlock> &encoded,
-             nn::Precision precision)
+             const std::vector<surrogate::EncodedBlock> &encoded)
 {
-    nn::BatchedForward bf(model.params(), precision);
+    nn::BatchedForward bf(model.params());
     std::vector<const surrogate::EncodedBlock *> blocks;
     for (const auto &e : encoded)
         blocks.push_back(&e);
@@ -97,8 +92,7 @@ TEST(NnBatched, MatchesSequentialBitExactRagged)
     const surrogate::Model model(testConfig(0),
                                  isa::theVocab().size());
     const auto encoded = encodeAll(raggedBlocks());
-    const auto batched =
-        batchedHeads(model, encoded, nn::Precision::kF64);
+    const auto batched = batchedHeads(model, encoded);
     ASSERT_EQ(batched.size(), encoded.size());
     for (size_t i = 0; i < encoded.size(); ++i) {
         EXPECT_TRUE(sameBits(batched[i], model.predict(encoded[i])))
@@ -112,8 +106,7 @@ TEST(NnBatched, BatchOfOneMatchesSequential)
                                  isa::theVocab().size());
     for (const auto &text : raggedBlocks()) {
         const auto encoded = encodeAll({text});
-        const auto batched =
-            batchedHeads(model, encoded, nn::Precision::kF64);
+        const auto batched = batchedHeads(model, encoded);
         ASSERT_EQ(batched.size(), 1u);
         EXPECT_TRUE(sameBits(batched[0], model.predict(encoded[0])));
     }
@@ -134,12 +127,10 @@ TEST(NnBatched, SubmissionOrderDoesNotChangeBits)
     const surrogate::Model model(testConfig(0),
                                  isa::theVocab().size());
     const auto encoded = encodeAll(raggedBlocks());
-    const auto forward =
-        batchedHeads(model, encoded, nn::Precision::kF64);
+    const auto forward = batchedHeads(model, encoded);
     std::vector<surrogate::EncodedBlock> reversed(encoded.rbegin(),
                                                   encoded.rend());
-    const auto backward =
-        batchedHeads(model, reversed, nn::Precision::kF64);
+    const auto backward = batchedHeads(model, reversed);
     ASSERT_EQ(forward.size(), backward.size());
     for (size_t i = 0; i < forward.size(); ++i)
         EXPECT_TRUE(sameBits(forward[i],
@@ -278,57 +269,6 @@ TEST(NnBatched, LaneGroupsMatchSequentialBitExact)
                     << ", element " << i;
         }
     }
-}
-
-TEST(NnBatched, F32TracksF64OnGeneratedCorpus)
-{
-    const surrogate::Model model(
-        [] {
-            surrogate::ModelConfig cfg;
-            cfg.embedDim = 32;
-            cfg.hidden = 64;
-            cfg.tokenLayers = 1;
-            cfg.blockLayers = 2;
-            cfg.paramDim = 0;
-            cfg.seed = 0xf10a7;
-            return cfg;
-        }(),
-        isa::theVocab().size());
-
-    const auto corpus = bhive::Corpus::generate(200, 0x5eed);
-    std::vector<surrogate::EncodedBlock> encoded;
-    for (size_t i = 0; i < corpus.size(); ++i)
-        encoded.push_back(surrogate::encodeBlock(corpus[i].block));
-
-    const auto f64 = batchedHeads(model, encoded,
-                                  nn::Precision::kF64);
-    const auto f32 = batchedHeads(model, encoded,
-                                  nn::Precision::kF32);
-    ASSERT_EQ(f64.size(), f32.size());
-    double worst = 0.0;
-    for (size_t i = 0; i < f64.size(); ++i) {
-        // The serving accuracy gate: the prediction is exp(head), so
-        // compare the served values, not just the raw head outputs.
-        const double a = std::exp(std::min(f64[i], 30.0));
-        const double b = std::exp(std::min(f32[i], 30.0));
-        const double rel = std::fabs(a - b) / std::fabs(a);
-        worst = std::max(worst, rel);
-        EXPECT_LT(rel, 1e-5) << "block " << i;
-    }
-    // Not vacuous: f32 must actually differ from f64 somewhere.
-    EXPECT_GT(worst, 0.0);
-}
-
-TEST(NnBatched, F32IsDeterministic)
-{
-    const surrogate::Model model(testConfig(0),
-                                 isa::theVocab().size());
-    const auto encoded = encodeAll(raggedBlocks());
-    const auto a = batchedHeads(model, encoded, nn::Precision::kF32);
-    const auto b = batchedHeads(model, encoded, nn::Precision::kF32);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_TRUE(sameBits(a[i], b[i])) << "block " << i;
 }
 
 } // namespace

@@ -5,8 +5,7 @@
  * (bit-exact), batch boundary conditions (batch of one, batches
  * larger than the shard working set, ragged block lengths crossing
  * the lockstep masking path), invariance to the worker count,
- * surrogate-mode input handling, the f32 serving mode and its
- * checkpoint round trip, checkpoint validation at load, and
+ * surrogate-mode input handling, checkpoint validation at load, and
  * path-naming load errors, all through serve::AsyncEngine's
  * synchronous calls (predict / predictAll); its concurrency surface
  * is covered by tests/test_serve_async.cc.
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <future>
@@ -334,77 +332,6 @@ TEST(Engine, FileRoundTripServesIdentically)
     for (const auto &text : sampleBlocks)
         EXPECT_TRUE(sameBits(original.predict(text),
                              restored->predict(text)));
-}
-
-TEST(Engine, F32ModeTracksDoubleWithinGate)
-{
-    AsyncEngine f64_engine(surrogateCheckpoint());
-    AsyncConfig cfg;
-    cfg.precision = nn::Precision::kF32;
-    AsyncEngine f32_engine(surrogateCheckpoint(), cfg);
-    EXPECT_EQ(f32_engine.precision(), nn::Precision::kF32);
-
-    const auto corpus = bhive::Corpus::generate(64, 0xf32);
-    double worst = 0.0;
-    for (size_t i = 0; i < corpus.size(); ++i) {
-        const std::string text = isa::toString(corpus[i].block);
-        const double a = f64_engine.predict(text);
-        const double b = f32_engine.predict(text);
-        const double rel = std::fabs(a - b) / std::fabs(a);
-        EXPECT_LT(rel, 1e-5) << "block " << i;
-        worst = std::max(worst, rel);
-    }
-    // The gate is not vacuous: f32 must actually differ somewhere.
-    EXPECT_GT(worst, 0.0);
-}
-
-TEST(Engine, F32ModeSingleAndBatchedAgree)
-{
-    // Both cache-filling paths (batch-of-one predict and batched
-    // predictAll) must run the same f32 execution mode — a mixed
-    // cache would serve different bits for the same block depending
-    // on how it was first requested.
-    AsyncConfig cfg;
-    cfg.precision = nn::Precision::kF32;
-    AsyncEngine single(ithemalCheckpoint(), cfg);
-    AsyncEngine batched(ithemalCheckpoint(), cfg);
-    const auto results = batched.predictAll(sampleBlocks);
-    for (size_t i = 0; i < sampleBlocks.size(); ++i)
-        EXPECT_TRUE(
-            sameBits(results[i], single.predict(sampleBlocks[i])))
-            << "block " << i;
-}
-
-TEST(Engine, F32CheckpointRoundTripsThroughInfoAndPredict)
-{
-    // An f32-weights checkpoint (the difftune_serve `convert` / info
-    // / predict cycle at library level): the loaded file reports its
-    // precision, and serving it through an f32 engine is
-    // bit-identical to serving the original f64 checkpoint through
-    // one — narrowing at save time and narrowing at load time are
-    // the same function.
-    io::Checkpoint original = surrogateCheckpoint();
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "difftune_serve_f32_roundtrip.ckpt")
-            .string();
-    io::saveCheckpoint(path, original.model.get(), &*original.dist,
-                       &*original.table, nn::Precision::kF32);
-
-    io::Checkpoint reloaded = io::loadCheckpoint(path);
-    std::remove(path.c_str());
-    ASSERT_TRUE(reloaded.model);
-    EXPECT_EQ(reloaded.weightPrecision, nn::Precision::kF32);
-    EXPECT_EQ(reloaded.model->config().paramDim,
-              original.model->config().paramDim);
-
-    AsyncConfig cfg;
-    cfg.precision = nn::Precision::kF32;
-    AsyncEngine from_f64(std::move(original), cfg);
-    AsyncEngine from_f32(std::move(reloaded), cfg);
-    for (const auto &text : sampleBlocks)
-        EXPECT_TRUE(sameBits(from_f64.predict(text),
-                             from_f32.predict(text)));
 }
 
 TEST(Engine, RejectsCheckpointWithoutModel)

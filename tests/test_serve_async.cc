@@ -99,19 +99,17 @@ TEST(AsyncEngine, SnapshotSharedByAllShards)
 TEST(AsyncEngine, WeightAllocationsDoNotScaleWithWorkers)
 {
     // The acceptance assertion for snapshot sharing: serve the same
-    // workload with 1 and with 4 workers in f32 (the mode that
-    // copies weights at all) and require identical derived-weight
-    // residency — pre-v2, 4 workers meant 4 f32 panels and 4
-    // projection-table sets.
+    // workload with 1 and with 4 workers and require identical
+    // derived-weight residency — pre-v2, 4 workers meant 4
+    // projection-table sets. The input columns are shared too.
     const auto texts = corpusTexts(24, 0xa57c);
     size_t bytes[2] = {0, 0};
     const int workers[2] = {1, 4};
     for (int i = 0; i < 2; ++i) {
         AsyncConfig cfg;
         cfg.workers = workers[i];
-        cfg.precision = nn::Precision::kF32;
         AsyncEngine engine(surrogateCheckpoint(), cfg);
-        engine.predictAll(texts); // materialize panels + projections
+        engine.predictAll(texts); // materialize the projections
         bytes[i] = engine.sharedWeightBytes();
         EXPECT_GT(bytes[i], 0u);
     }
@@ -287,38 +285,6 @@ TEST(AsyncEngine, ParseErrorsPropagateThroughFutures)
     // predict surfaces the same error by throwing.
     EXPECT_THROW(engine.predict("BOGUS_OPCODE %zz\n"),
                  std::runtime_error);
-}
-
-TEST(AsyncEngine, F32ConcurrentSubmissionIsDeterministic)
-{
-    // kF32 is accuracy-gated against f64, but across thread counts
-    // and interleavings it must still be *identical to itself*.
-    const auto texts = corpusTexts(16, 0x99);
-    AsyncConfig cfg;
-    cfg.precision = nn::Precision::kF32;
-    AsyncEngine reference(surrogateCheckpoint(), cfg);
-    std::vector<double> expected;
-    expected.reserve(texts.size());
-    for (const auto &text : texts)
-        expected.push_back(reference.predict(text));
-
-    AsyncEngine engine(surrogateCheckpoint(), cfg);
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> clients;
-    for (int t = 0; t < 3; ++t) {
-        clients.emplace_back([&, t] {
-            for (size_t i = 0; i < texts.size(); ++i) {
-                const size_t at =
-                    (i * 7 + size_t(t) * 3) % texts.size();
-                if (!sameBits(engine.submit(texts[at]).get(),
-                              expected[at]))
-                    ++mismatches;
-            }
-        });
-    }
-    for (auto &client : clients)
-        client.join();
-    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(AsyncEngine, ConcurrentSyncCallsAreSafe)
